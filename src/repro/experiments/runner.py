@@ -37,7 +37,7 @@ import os
 import traceback as _traceback
 import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -146,10 +146,29 @@ def _default_cache_dir() -> Optional[Path]:
     return Path(path) if path else None
 
 
+#: keys a cache entry may carry (``_cache_store`` drops the two
+#: non-flat fields) and the ones it must carry
+_CACHE_KEYS = frozenset(f.name for f in fields(RunResult)) - {"positions", "traffic"}
+_CACHE_REQUIRED = frozenset(
+    f.name for f in fields(RunResult) if f.default is MISSING and f.default_factory is MISSING
+)
+
+
 def _cache_load(path: Path) -> Optional[RunResult]:
+    """The cached result at ``path``, or None when the entry is missing,
+    unreadable, or not a stored result (a foreign or truncated file
+    reads as a miss, never as a crash)."""
     try:
         payload = json.loads(path.read_text())
     except (OSError, ValueError):
+        return None
+    if (
+        not isinstance(payload, dict)
+        or not _CACHE_REQUIRED <= payload.keys() <= _CACHE_KEYS
+        or not all(
+            isinstance(payload.get(k, []), list) for k in ("transmitters", "receivers")
+        )
+    ):
         return None
     payload["transmitters"] = tuple(payload.get("transmitters", ()))
     payload["receivers"] = tuple(payload.get("receivers", ()))
@@ -943,8 +962,10 @@ def run_many(
         # iteration; generational GC re-scans those objects many times
         # before they become unreachable.  Park the collector for the
         # loop and sweep the young generation at run boundaries — where
-        # the previous deployment is garbage — re-enabling with a full
-        # collection on the way out (same discipline as the batch
+        # the previous deployment is garbage — and once more on the way
+        # out.  Everything the loop allocated is young (the collector
+        # was paused), so a full collection would only re-walk the
+        # process's older live objects (same discipline as the batch
         # kernel's reconstruction loop).
         gc_was_enabled = total > 1 and gc.isenabled()
         if gc_was_enabled:
@@ -977,7 +998,7 @@ def run_many(
         finally:
             if gc_was_enabled:
                 gc.enable()
-                gc.collect()
+                gc.collect(0)
         return results
 
     slots: List[Optional[RunResult]] = [None] * total

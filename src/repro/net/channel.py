@@ -20,6 +20,14 @@ runs stay bit-reproducible.  At runtime the channel:
   neighbors");
 * emits TX / RX / COLLISION trace records for the metrics layer.
 
+Reception is scheduled per frame, not per receiver: one heap entry walks
+a frame's arrivals and one walks its completions, each receiver at the
+exact ``(time, priority, seq)`` its own event would have had, yielding
+back to the kernel whenever another entry comes first (the batch-handler
+contract of ``docs/SIMULATOR.md``).  The radio's lock/capture rule is
+inlined in that walk; :meth:`Radio.begin_reception` and
+:meth:`Radio.finish_reception` stay the reference it is tested against.
+
 ``perfect=True`` disables collision bookkeeping (every in-range arrival
 succeeds); combined with :class:`repro.mac.ideal.IdealMac` this gives the
 deterministic medium used by unit tests and fast sweeps.
@@ -33,6 +41,7 @@ are bit-identical between the two (asserted by
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
@@ -46,7 +55,7 @@ from repro.phy.propagation import (
     TwoRayGround,
     range_to_threshold,
 )
-from repro.phy.radio import Radio, Reception
+from repro.phy.radio import Radio, RadioState, Reception, _log10
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceKind
 
@@ -55,6 +64,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.packet import Packet
 
 __all__ = ["Channel"]
+
+_IDLE, _RX, _TX = RadioState.IDLE, RadioState.RX, RadioState.TX
 
 #: Above this fraction of moved nodes, ``update_positions`` rebuilds the
 #: whole sparse index instead of patching affected rows (waypoint mobility
@@ -160,12 +171,12 @@ class Channel:
         # Direct-finish lane (batch kernel): with a perfect channel, no
         # loss model, and a MAC that never carrier-senses, the radio
         # pipeline (begin_tx/end_tx, begin/finish_reception) feeds only
-        # the collision verdict — which ``perfect`` overrides — so each
-        # delivery can be one finish event scheduled at transmit time.
-        # Finish ties keep the scalar order: same-frame equal-delay
-        # finishes follow delivery-list order (as the arrival pushes
-        # did), cross-frame ties follow transmit order (as the arrival
-        # execution order did).
+        # the collision verdict — which ``perfect`` overrides — so a
+        # frame's completion batch can be filed at transmit time, with no
+        # arrival batch.  Finish ties keep the scalar order: same-frame
+        # equal-delay finishes follow delivery-list order (as the arrival
+        # pushes did), cross-frame ties follow transmit order (as the
+        # arrival execution order did).
         self.direct_finish = False
 
         # counters useful for profiling and tests
@@ -424,7 +435,10 @@ class Channel:
         """Broadcast ``packet`` from ``node_id`` to everyone in range.
 
         Called by MAC layers only; protocols go through
-        :meth:`repro.net.node.Node.send`.
+        :meth:`repro.net.node.Node.send`.  The frame's receptions go on
+        the heap as one arrival batch (see :meth:`_arrive`), filed under
+        its first receiver's ``(now + delay, seq)``; one seq is reserved
+        per live receiver, in delivery-list order.
         """
         sim = self.sim
         now = sim.now
@@ -437,7 +451,8 @@ class Channel:
             return
         bits = packet.size_bits()
         duration = bits / self.bitrate_bps
-        direct = self.direct_finish and self.loss is None and nodes
+        loss = self.loss
+        direct = self.direct_finish and loss is None and nodes
         if not direct:
             radio = self.radios[node_id]
             radio.begin_tx(now, duration)
@@ -455,36 +470,11 @@ class Channel:
         delivery = self._delivery[node_id]
         if delivery is None:
             delivery = self._delivery_list(node_id)
-        if direct:
-            # one event per delivery, scheduled at the exact instant the
-            # classic arrive->finish chain would have finished:
-            # (now + delay) + duration, same float fold, same priority
-            finish_direct = self._finish_direct
-            self.sim._queue.push_many(
-                [
-                    ((now + delay) + duration, finish_direct, (rnode, nbr, packet))
-                    for nbr, delay, power, radio, rnode in delivery
-                    if rnode.alive and not rnode.asleep
-                ],
-                1,
-            )
-            return
-        arrive = self._arrive
-        loss = self.loss
+        fates = repeat(False)
         if loss is None:
-            if nodes:
-                # Dead or sleeping neighbors would discard the frame in
-                # _finish anyway — skip their events entirely.
-                entries = [
-                    (delay, arrive, (radio, rnode, nbr, packet, power, duration, False))
-                    for nbr, delay, power, radio, rnode in delivery
-                    if rnode.alive and not rnode.asleep
-                ]
-            else:
-                entries = [
-                    (delay, arrive, (radio, rnode, nbr, packet, power, duration, False))
-                    for nbr, delay, power, radio, rnode in delivery
-                ]
+            # Dead or sleeping neighbors would discard the frame on
+            # completion anyway — skip them entirely.
+            live = [e for e in delivery if e[4].alive and not e[4].asleep] if nodes else delivery
         else:
             # batch the loss draws over the whole delivery list (the
             # i.i.d. model vectorises; others fall back to the scalar
@@ -499,81 +489,168 @@ class Channel:
             else:
                 dsts = [e[0] for e in live]
             fates = loss.frame_lost_batch(node_id, dsts)
-            entries = [
-                (delay, arrive, (radio, rnode, nbr, packet, power, duration, lost))
-                for (nbr, delay, power, radio, rnode), lost in zip(live, fates)
-            ]
-        sim.schedule_many(entries)
-
-    # ------------------------------------------------------------------ #
-    # reception pipeline
-    # ------------------------------------------------------------------ #
-    def _arrive(
-        self, radio: Radio, node, nbr_id: int, packet: "Packet",
-        power: float, duration: float, lost: bool = False,
-    ) -> None:
-        now = self.sim.now
-        rec = radio.begin_reception(packet, now, duration, power)
-        if lost:
-            # The garbled signal still occupies the radio (carrier sense,
-            # collision bookkeeping) but can never decode.
-            rec.intact = False
-        self._push_fire(now + duration, self._finish, (radio, node, nbr_id, rec, lost), 1)
-
-    def _finish(self, radio: Radio, node, nbr_id: int, rec: Reception,
-                lost: bool = False) -> None:
-        now = self.sim.now
-        ok = radio.finish_reception(rec, now)
-        packet: "Packet" = rec.frame
-        # recycle: this finish event was the last reference holder
-        rec.frame = None
-        radio.free_pool.append(rec)
-        if node is not None:
-            if not node.alive or node.asleep:
-                # A dead or sleeping radio neither spends RX energy nor
-                # hears the frame (the arrival was scheduled while it was
-                # still up).
-                return
-            bits = packet.size_bits()
-            e = self._rx_energy_cache.get(bits)
-            if e is None:
-                e = self._rx_energy_cache[bits] = self.energy_model.rx_energy(bits)
-            # inline EnergyAccount.charge_rx — once per surviving arrival
-            en = node.energy
-            en.rx_joules += e
-            if not en.depleted and en.tx_joules + en.rx_joules >= en.initial_joules:
-                en._check()
-        if lost:
-            self.frames_lost += 1
-            self._emit(now, TraceKind.DROP, nbr_id, packet.ptype, "loss")
-        elif ok or self.perfect:
-            self.frames_delivered += 1
-            self._emit(now, TraceKind.RX, nbr_id, packet.ptype, packet.uid)
-            if node is not None:
-                node.on_packet_received(packet)
-        else:
-            self.frames_collided += 1
-            self._emit(now, TraceKind.COLLISION, nbr_id, packet.ptype, packet.uid)
-
-    def _finish_direct(self, node, nbr_id: int, packet: "Packet") -> None:
-        """Frame completion on the direct lane (perfect, lossless, no radio).
-
-        Mirrors the surviving-reception branch of :meth:`_finish` —
-        dead-receiver discard, rx energy, delivery counter, RX record,
-        dispatch — with the reception bookkeeping elided (its only
-        output, the collision verdict, is overridden by ``perfect``).
-        """
-        now = self.sim.now
-        if not node.alive or node.asleep:
+        if not live:
             return
+        queue = sim._queue
+        seq = queue.reserve(len(live))
+        # Entries sort on (time, seq): seqs are unique, so tuple order
+        # never compares the objects behind them.
+        if direct:
+            # Direct-finish lane: the completion batch is filed at transmit
+            # time, each receiver at the instant the arrive->finish chain
+            # would finish it — (now + delay) + duration, same float fold.
+            batch = [
+                ((now + delay) + duration, seq + i, None, rnode, nbr, None, False)
+                for i, (nbr, delay, power, radio, rnode) in enumerate(live)
+            ]
+            batch.sort()
+            queue.push_reserved(batch[0][0], 1, batch[0][1], self._finish, (batch, 0, packet))
+            return
+        rx = [
+            (now + delay, seq + i, radio, rnode, nbr, power, lost)
+            for i, ((nbr, delay, power, radio, rnode), lost) in enumerate(zip(live, fates))
+        ]
+        rx.sort()
+        queue.push_reserved(rx[0][0], 0, rx[0][1], self._arrive, (rx, 0, packet, duration))
+
+    # ------------------------------------------------------------------ #
+    # reception pipeline: one heap entry per frame batch
+    # ------------------------------------------------------------------ #
+    def _arrive(self, rx: list, k: int, packet: "Packet", duration: float) -> None:
+        """Arrival batch: the frame reaches receivers ``rx[k:]``.
+
+        ``rx`` holds ``(time, seq, radio, node, nbr, power, lost)`` in
+        ``(time, seq)`` order, each key the one the receiver's own arrival
+        event would have had.  The walk sets the clock to each receiver's
+        time and applies :meth:`Radio.begin_reception` inline; the
+        completion seq is reserved at that arrival, as a per-receiver
+        ``push_fire`` would have consumed it.  Before each next receiver
+        the kernel is asked whether its key runs next; if not (another
+        entry comes first, ``run(until=)`` ends earlier, or the run was
+        stopped) the batch re-files itself under that key.  The
+        completions reserved so far go on the heap as one batch.
+        """
+        sim = self.sim
+        reserve = sim._queue.reserve
+        runs_next = sim.runs_next
+        fin = []
+        n = len(rx)
+        while True:
+            t, seq, radio, node, nbr, power, lost = rx[k]
+            sim.now = t
+            end = t + duration
+            # inline Radio.begin_reception (first-frame lock + capture)
+            pool = radio.free_pool
+            if pool:
+                rec = pool.pop()
+                rec.frame = packet
+                rec.start = t
+                rec.end = end
+                rec.power = power
+                rec.intact = True
+            else:
+                rec = Reception(packet, t, end, power)
+            state = radio.state
+            if state is _TX and t < radio.tx_until:
+                rec.intact = False
+            else:
+                for r in radio.receptions:
+                    if r.end > t and r.intact:
+                        ratio_db = 10.0 * _log10(power / r.power)
+                        threshold = radio.capture_threshold_db
+                        if ratio_db <= -threshold:
+                            rec.intact = False  # we stay locked on the earlier frame
+                        elif ratio_db >= threshold:
+                            r.intact = False  # the newcomer captures the receiver
+                        else:
+                            r.intact = False  # comparable powers: both garbled
+                            rec.intact = False
+                        break
+            radio.receptions.append(rec)
+            if state is _IDLE:
+                radio.state = _RX
+            if lost:
+                # The garbled signal still occupies the radio (carrier
+                # sense, collision bookkeeping) but can never decode.
+                rec.intact = False
+            fin.append((end, reserve(), radio, node, nbr, rec, lost))
+            k += 1
+            if k == n:
+                break
+            t, seq = rx[k][0], rx[k][1]
+            # this batch's own first completion is not on the heap yet
+            if fin[0][0] < t or not runs_next(t, 0, seq):
+                sim._queue.push_reserved(t, 0, seq, self._arrive, (rx, k, packet, duration))
+                break
+        sim._queue.push_reserved(fin[0][0], 1, fin[0][1], self._finish, (fin, 0, packet))
+
+    def _finish(self, fin: list, k: int, packet: "Packet") -> None:
+        """Completion batch: receptions ``fin[k:]`` of one frame end.
+
+        ``fin`` holds ``(time, seq, radio, node, nbr, rec, lost)`` in
+        ``(time, seq)`` order.  Each step applies
+        :meth:`Radio.finish_reception` inline, charges RX energy, emits
+        the RX / COLLISION / DROP record and dispatches a surviving frame
+        to its node.  The dispatch may schedule anything, so the kernel is
+        asked before every next receiver, as in :meth:`_arrive`.  On the
+        direct-finish lane ``radio`` and ``rec`` are None: the collision
+        verdict, the reception's only output, is overridden by
+        ``perfect``.
+        """
+        sim = self.sim
+        runs_next = sim.runs_next
+        emit = self._emit
+        perfect = self.perfect
         bits = packet.size_bits()
         e = self._rx_energy_cache.get(bits)
         if e is None:
             e = self._rx_energy_cache[bits] = self.energy_model.rx_energy(bits)
-        en = node.energy
-        en.rx_joules += e
-        if not en.depleted and en.tx_joules + en.rx_joules >= en.initial_joules:
-            en._check()
-        self.frames_delivered += 1
-        self._emit(now, TraceKind.RX, nbr_id, packet.ptype, packet.uid)
-        node.on_packet_received(packet)
+        ptype = packet.ptype
+        uid = packet.uid
+        n = len(fin)
+        while True:
+            t, seq, radio, node, nbr, rec, lost = fin[k]
+            sim.now = t
+            ok = True
+            if radio is not None:
+                # inline Radio.finish_reception
+                receptions = radio.receptions
+                receptions.remove(rec)
+                state = radio.state
+                if state is _RX:
+                    for r in receptions:
+                        if r.end > t:
+                            break
+                    else:
+                        radio.state = state = _IDLE
+                ok = rec.intact and not (state is _TX and t < radio.tx_until)
+                # recycle: this completion was the last reference holder
+                rec.frame = None
+                radio.free_pool.append(rec)
+            # A dead or sleeping radio neither spends RX energy nor hears
+            # the frame (the arrival was scheduled while it was still up).
+            if node is None or (node.alive and not node.asleep):
+                if node is not None:
+                    # inline EnergyAccount.charge_rx
+                    en = node.energy
+                    en.rx_joules += e
+                    if not en.depleted and en.tx_joules + en.rx_joules >= en.initial_joules:
+                        en._check()
+                if lost:
+                    self.frames_lost += 1
+                    emit(t, TraceKind.DROP, nbr, ptype, "loss")
+                elif ok or perfect:
+                    self.frames_delivered += 1
+                    emit(t, TraceKind.RX, nbr, ptype, uid)
+                    if node is not None:
+                        node.on_packet_received(packet)
+                else:
+                    self.frames_collided += 1
+                    emit(t, TraceKind.COLLISION, nbr, ptype, uid)
+            k += 1
+            if k == n:
+                return
+            t, seq = fin[k][0], fin[k][1]
+            if not runs_next(t, 1, seq):
+                sim._queue.push_reserved(t, 1, seq, self._finish, (fin, k, packet))
+                return

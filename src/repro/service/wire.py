@@ -14,7 +14,8 @@ before the next line is read); clients wanting concurrent campaigns open
 one connection per campaign — connections are cheap, and the service
 dedupes/coalesces identical specs across all of them.  Malformed lines
 or specs produce one ``{"event": "error", ...}`` line and leave the
-connection usable.
+connection usable; a line over :data:`LINE_LIMIT` bytes produces one
+error line and closes the connection.
 
 :class:`ServiceClient` is the matching asyncio client used by the test
 harness, the ``serve --smoke`` campaign and any external driver.
@@ -29,7 +30,13 @@ from typing import Any, AsyncIterator, Dict, Optional
 from repro.service.core import CampaignService
 from repro.service.spec import SpecError
 
-__all__ = ["start_server", "ServiceClient", "ServiceServer"]
+__all__ = ["LINE_LIMIT", "start_server", "ServiceClient", "ServiceServer"]
+
+
+#: longest request line the server reads, in bytes; a longer line gets
+#: one ``error`` event and the connection is closed (the rest of the
+#: line cannot be told apart from the next request)
+LINE_LIMIT = 64 * 1024
 
 
 def _encode(ev: Dict[str, Any]) -> bytes:
@@ -43,7 +50,17 @@ async def _handle(
 ) -> None:
     try:
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError:  # over LINE_LIMIT (asyncio's LimitOverrunError)
+                writer.write(
+                    _encode({
+                        "event": "error",
+                        "message": f"request line exceeds {LINE_LIMIT} bytes",
+                    })
+                )
+                await writer.drain()
+                break
             if not line:
                 break
             try:
@@ -163,9 +180,9 @@ async def start_server(
             writers.discard(writer)
 
     if unix_path is not None:
-        server = await asyncio.start_unix_server(handler, path=unix_path)
+        server = await asyncio.start_unix_server(handler, path=unix_path, limit=LINE_LIMIT)
     else:
-        server = await asyncio.start_server(handler, host=host, port=port)
+        server = await asyncio.start_server(handler, host=host, port=port, limit=LINE_LIMIT)
     return ServiceServer(server, tasks, writers)
 
 

@@ -670,7 +670,8 @@ def _apply_warmup(cfg, sim, net, agents, plan: _HelloPlan, s: int) -> None:
         nodes[i].mac.sent = int(n_fired_per_node[i])
 
     # ---- boundary events (in scalar push order at equal (t, prio)) --- #
-    # entry: (time, priority, push_time, push_sub, push_node, fn, args)
+    # entry: (time, priority, push_time, push_sub, push_node, fn, args,
+    # receiver); ``receiver`` is set on in-flight reception entries
     events: list = []
     in_flight: Dict[int, HelloPacket] = {}
     radios = ch.radios
@@ -689,10 +690,10 @@ def _apply_warmup(cfg, sim, net, agents, plan: _HelloPlan, s: int) -> None:
         if m == 0:
             # still waiting for the start() tick, pushed at build time in
             # node order — before every other event in the run
-            events.append((t_pend, 0, -1.0, 0, i, agent._tick, None))
+            events.append((t_pend, 0, -1.0, 0, i, agent._tick, None, None))
             continue
         t_last = float(ticks[i, m - 1])
-        events.append((t_pend, 0, t_last, 1, i, agent._tick, None))
+        events.append((t_pend, 0, t_last, 1, i, agent._tick, None, None))
 
         mac = net.nodes[i].mac
         nf = int(n_fired_per_node[i])
@@ -707,7 +708,7 @@ def _apply_warmup(cfg, sim, net, agents, plan: _HelloPlan, s: int) -> None:
             mac.queue.append(pkt)
             mac._busy = True
             f = float(all_fire[offsets[i] + m - 1])
-            events.append((f, 0, t_last, 0, i, mac._fire, None))
+            events.append((f, 0, t_last, 0, i, mac._fire, None, None))
         if nf > 0:
             f = float(all_fire[offsets[i] + nf - 1])
             head_done = f + dur
@@ -719,9 +720,11 @@ def _apply_warmup(cfg, sim, net, agents, plan: _HelloPlan, s: int) -> None:
                 mac.queue.append(pkt)
                 mac._busy = True
                 # transmit pushed end_tx (prio -1) before the arrivals
-                events.append((head_done, -1, f, -1, i, radios[i].end_tx, (head_done,)))
                 events.append(
-                    (head_done, 0, f, _SUB_AFTER_ARRIVALS, i, mac._finish_head, None)
+                    (head_done, -1, f, -1, i, radios[i].end_tx, (head_done,), None)
+                )
+                events.append(
+                    (head_done, 0, f, _SUB_AFTER_ARRIVALS, i, mac._finish_head, None, None)
                 )
             # in-flight arrivals/finishes of the last fired frame (frames
             # before it are fully settled: inter-tick gap >> chain span)
@@ -751,8 +754,8 @@ def _apply_warmup(cfg, sim, net, agents, plan: _HelloPlan, s: int) -> None:
                     node_j = net.nodes[j]
                     if arr > warmup:
                         events.append(
-                            (arr, 0, f, c, i, ch._arrive,
-                             (radio_j, node_j, j, pkt, float(powers_i[c]), dur, lost_c))
+                            (arr, 0, f, c, i, ch._arrive, (pkt, dur),
+                             (radio_j, node_j, j, float(powers_i[c]), lost_c))
                         )
                     else:
                         rec = radio_j.begin_reception(pkt, arr, dur, float(powers_i[c]))
@@ -761,17 +764,19 @@ def _apply_warmup(cfg, sim, net, agents, plan: _HelloPlan, s: int) -> None:
                             # the radio but can never decode (_arrive)
                             rec.intact = False
                         events.append(
-                            (fin, 1, arr, c, i, ch._finish,
+                            (fin, 1, arr, c, i, ch._finish, (pkt,),
                              (radio_j, node_j, j, rec, lost_c))
                         )
 
+    # seqs in scalar push order; an in-flight reception becomes a
+    # one-receiver arrival or completion batch keyed by its own seq
     events.sort(key=lambda e: e[:5])
-    push_fire = sim._queue.push_fire
-    for time, prio, _pt, _ps, _pn, fn, args in events:
-        if args is None:
-            push_fire(time, fn, (), prio)
-        else:
-            push_fire(time, fn, args, prio)
+    queue = sim._queue
+    for time, prio, _pt, _ps, _pn, fn, args, receiver in events:
+        seq = queue.reserve()
+        if receiver is not None:
+            args = ([(time, seq) + receiver], 0) + args
+        queue.push_reserved(time, prio, seq, fn, () if args is None else args)
 
     reset_uids(uid0 + total_exec)
     sim.now = cfg.hello_warmup
@@ -828,8 +833,9 @@ def run_batch(
     # Each seed allocates (and drops) a ~n_nodes-object cyclic deployment
     # graph; with the collector enabled, generational sweeps over the
     # growing results/trace heap roughly double the per-seed cost.  Pause
-    # it for the batch and collect explicitly every few seeds to bound
-    # the garbage backlog.
+    # it for the batch and sweep the young generation every few seeds to
+    # bound the garbage backlog, and once more on the way out: the batch
+    # allocated everything while the collector was paused.
     gc_was_enabled = gc.isenabled()
     if gc_was_enabled:
         gc.disable()
@@ -865,5 +871,5 @@ def run_batch(
     finally:
         if gc_was_enabled:
             gc.enable()
-            gc.collect()
+            gc.collect(0)
     return results

@@ -188,6 +188,37 @@ class EventQueue:
         self._seq = seq
         self._live += len(staged)
 
+    def reserve(self, n: int = 1) -> int:
+        """Consume ``n`` sequence numbers now; return the first of them.
+
+        A reserved ``seq`` is the tie-break an entry pushed *at this
+        moment* would have received.  :meth:`push_reserved` later files an
+        entry under it, so batched handlers (one heap entry standing for
+        many per-receiver events) keep the exact ordering the individual
+        pushes would have had.
+        """
+        seq = self._seq
+        self._seq = seq + n
+        return seq
+
+    def push_reserved(
+        self,
+        time: float,
+        priority: int,
+        seq: int,
+        fn: Callable[..., Any],
+        args: tuple,
+    ) -> None:
+        """Push a fire-and-forget entry under a seq from :meth:`reserve`.
+
+        The caller guarantees ``seq`` is reserved and unused by any live
+        entry (uniqueness keeps heap comparisons off slot 3).
+        """
+        if time != time:
+            raise ValueError("event time is NaN")
+        heapq.heappush(self._heap, (time, priority, seq, fn, args))
+        self._live += 1
+
     def cancel(self, ev: Event) -> None:
         """Cancel a previously pushed event.  Safe to call twice."""
         if not ev.cancelled:

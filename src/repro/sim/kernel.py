@@ -50,9 +50,12 @@ class Simulator:
         self.now = 0.0
         self._running = False
         self._stopped = False
+        #: the active ``run(until=)`` bound (None when unbounded or idle)
+        self._until: Optional[float] = None
         self.rng = RngRegistry(seed)
         self.trace = trace if trace is not None else TraceRecorder()
-        #: number of events executed so far (for profiling / sanity checks)
+        #: number of heap entries executed so far (for profiling / sanity
+        #: checks); a batch entry that walks a frame's receivers counts once
         self.events_executed = 0
 
     # ------------------------------------------------------------------ #
@@ -72,7 +75,8 @@ class Simulator:
         entry popped since loop entry.  Observability hooks that fire as
         events (e.g. the streaming sampler) read this instead: the raw
         heap length, which counts live *and* cancelled-but-unpopped
-        entries but is always current.
+        entries but is always current.  A frame's pending receptions are
+        one batch entry, not one entry per receiver.
         """
         return len(self._queue._heap)
 
@@ -147,6 +151,33 @@ class Simulator:
         """Cancel a pending event (no-op if already cancelled or fired)."""
         self._queue.cancel(ev)
 
+    def runs_next(self, time: float, priority: int, seq: int) -> bool:
+        """Would an entry keyed ``(time, priority, seq)`` be the next to run?
+
+        Batch handlers (one heap entry standing for a frame's per-receiver
+        events) ask this before each next receiver and continue inline
+        only on True; on False they re-push themselves under that key.
+        The answer honours the heap top, ``run(until=)`` and :meth:`stop`,
+        and is False outside :meth:`run` (so :meth:`step` executes one
+        receiver at a time).
+        """
+        if not self._running or self._stopped:
+            return False
+        until = self._until
+        if until is not None and time > until:
+            return False
+        heap = self._queue._heap
+        while heap and heap[0][4] is None and heap[0][3].cancelled:
+            # already discounted from the live count; the run loop would
+            # drop it without running anything
+            heapq.heappop(heap)
+        if heap:
+            top = heap[0]
+            t = top[0]
+            if t < time or (t == time and (top[1], top[2]) < (priority, seq)):
+                return False
+        return True
+
     # ------------------------------------------------------------------ #
     # run loop
     # ------------------------------------------------------------------ #
@@ -160,7 +191,7 @@ class Simulator:
             and advance the clock exactly to ``until``.
         max_events:
             Safety valve for runaway simulations.  At most ``max_events``
-            events execute in this call; attempting to execute one more
+            heap entries execute in this call; attempting to execute one more
             raises :class:`SimulationError` (the limit is exact — a run
             whose queue drains at exactly ``max_events`` events succeeds).
 
@@ -173,6 +204,7 @@ class Simulator:
             raise SimulationError("run() called re-entrantly")
         self._running = True
         self._stopped = False
+        self._until = until
         executed = 0
         # Hot loop: operate on the queue's heap directly so each event
         # costs one heappop and no intermediate method calls.  Cancelled
@@ -230,6 +262,7 @@ class Simulator:
             queue._live -= popped
             self.events_executed += executed
             self._running = False
+            self._until = None
             if gc_was_enabled:
                 gc.enable()
         return self.now

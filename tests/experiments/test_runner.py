@@ -131,6 +131,21 @@ class TestResultCache:
         assert a != b
         assert len(list(tmp_path.glob("*.json"))) == 2
 
+    @pytest.mark.parametrize(
+        "entry",
+        ['{"foo": 1}', "[1, 2]", "3", '"text"', "null", '{"protocol": "mtmrp"}'],
+    )
+    def test_wrong_shape_entry_reads_as_a_miss(self, tmp_path, entry):
+        from repro.experiments.runner import config_hash
+
+        cfg = SimulationConfig(protocol="mtmrp", seed=6, **FAST)
+        path = tmp_path / f"{config_hash(cfg)}.json"
+        path.write_text(entry)
+        # valid JSON of the wrong shape: recomputed, then overwritten
+        assert run_single(cfg, cache=tmp_path) == run_single(cfg)
+        assert run_single(cfg, cache=tmp_path) == run_single(cfg)
+        assert path.read_text() != entry
+
     def test_trace_requests_bypass_the_cache(self, tmp_path):
         from repro.sim.trace import TraceRecorder
 

@@ -37,6 +37,19 @@ class TestRoundTrip:
         assert store.get(cfg_for(1)) is None
         assert store.stats()["misses"] == 1
 
+    @pytest.mark.parametrize(
+        "entry", ['{"foo": 1}', "[1, 2]", '{"transmitters": 5}', '"text"']
+    )
+    def test_wrong_shape_entry_is_a_miss(self, tmp_path, entry):
+        store = ResultStore(tmp_path)
+        cfg = cfg_for(1)
+        store.path_for(cfg).write_text(entry)
+        assert store.get(cfg) is None
+        assert store.stats()["misses"] == 1
+        res = run_single(cfg)
+        assert store.put(cfg, res) is True
+        assert store.get(cfg) == res
+
     def test_non_flat_results_are_not_storeable(self, tmp_path):
         store = ResultStore(tmp_path)
         cfg = cfg_for(2)

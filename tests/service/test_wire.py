@@ -7,6 +7,7 @@ usable — the service front door cannot be wedged by a bad client.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 
 from repro.experiments.runner import run_single
@@ -18,6 +19,7 @@ from repro.service import (
     start_server,
 )
 from repro.service.spec import CampaignSpec, result_record
+from repro.service.wire import LINE_LIMIT
 
 FAST = {"protocol": "mtmrp", "topology": "grid", "group_size": 10, "mac": "ideal"}
 
@@ -117,3 +119,36 @@ class TestUnixSocket:
                     await client.close()
 
         asyncio.run(main())
+
+    def test_over_limit_line_gets_an_error_and_a_clean_close(self, tmp_path):
+        service = make_service(tmp_path)
+        sock = str(tmp_path / "svc.sock")
+        reported = []
+
+        async def main():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, ctx: reported.append(ctx)
+            )
+            async with await start_server(service, unix_path=sock):
+                reader, writer = await asyncio.open_unix_connection(sock)
+                try:
+                    pad = "x" * (LINE_LIMIT + 6 * 1024)
+                    writer.write(json.dumps({"op": "ping", "pad": pad}).encode() + b"\n")
+                    await writer.drain()
+                    ev = json.loads(await reader.readline())
+                    assert ev["event"] == "error"
+                    assert str(LINE_LIMIT) in ev["message"]
+                    assert await reader.read() == b""  # closed by the server
+                finally:
+                    writer.close()
+                    await writer.wait_closed()
+                # the server itself keeps serving
+                client = await ServiceClient.connect(unix_path=sock)
+                try:
+                    assert (await client.ping()) == {"event": "pong"}
+                finally:
+                    await client.close()
+            gc.collect()  # surface any never-retrieved handler exception
+
+        asyncio.run(main())
+        assert reported == []
