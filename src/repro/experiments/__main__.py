@@ -179,15 +179,6 @@ def _run_bench(args) -> None:
         else:
             print(f"  {name:28s} {entry['peak_mb']:9.2f} MB peak"
                   f"  ({entry['memory_ratio']:.1f}x below seed)")
-    # answer "why didn't my campaign batch?" without a debugger: the
-    # process-wide Monte Carlo batching tally with its reason histogram
-    from repro.sim.batch import STATS as _batch_stats
-
-    reasons = dict(sorted(_batch_stats.fallback_reasons.items()))
-    print(f"  [batch] runs={_batch_stats.batched_runs}"
-          f" sessions={_batch_stats.batched_sessions}"
-          f" fallback={_batch_stats.fallback_runs}"
-          + (f"  reasons={reasons}" if reasons else ""))
     if args.bench_history:
         p = append_history(results, args.bench_history,
                            note="fast" if args.fast else "full")

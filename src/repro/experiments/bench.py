@@ -3,10 +3,9 @@
 ``python -m repro.experiments bench`` runs one timed workload per hot
 path — event-heap churn, kernel run loop, channel construction (200 and
 2000 nodes), a full MTMRP round, trace queries, warm-start campaign
-execution, vectorized Monte Carlo batches (500 lossless seeds, 500
-seeds under 5% iid loss, and an 8-session plan x 200 seeds), pool
-reuse, dense delivery fan-out — plus a peak-memory probe
-of 2000-node channel construction, and writes the machine-readable
+execution, eight concurrent sessions, pool reuse, dense delivery
+fan-out — plus a peak-memory probe of 2000-node channel construction,
+and writes the machine-readable
 ``BENCH_core.json``.  Each entry carries wall-time, ops/sec, and the
 speedup against :data:`SEED_BASELINE` — the same workloads measured on
 the pre-optimisation tree — so the perf trajectory is tracked from this
@@ -243,87 +242,6 @@ def run_benchmarks(fast: bool = False) -> Dict[str, Dict[str, float]]:
     if warm != cold:  # pragma: no cover - determinism violation
         raise AssertionError("warm-start campaign diverged from the cold path")
     record("campaign_warmstart_50", t_warm, len(campaign), baseline_wall_s=t_cold)
-
-    # -- vectorized Monte Carlo: 500 replicates of the Fig. 5 scenario -- #
-    # The paper's headline experiment shape: one scenario, hundreds of
-    # seeds, warmup-dominated (90 s HELLO phase on the 400-node grid).
-    # Baseline is the scalar per-seed loop; the batched side plans the
-    # warmup once and replays it into every seed (repro.sim.batch).  Both
-    # sides always run the full 500-seed batch so ``wall_s`` is
-    # comparable across fast/full modes — except the scalar baseline,
-    # which ``fast`` measures over a 50-seed prefix and scales linearly
-    # (replicates are independent, so scalar cost is exactly linear in
-    # seeds; the full run measures all 500 directly).  Per-seed results
-    # are bit-identical — asserted here and by the golden-digest tests.
-    from repro.sim.batch import run_batch  # noqa: F401  (documented entry)
-
-    n_seeds = 500
-    n_scalar = 50 if fast else n_seeds
-    mc_base = SimulationConfig(
-        protocol="mtmrp", topology="grid", group_size=20, mac="ideal",
-        hello_phase=True, hello_warmup=90.0,
-        construction_time=0.5, data_time=0.25,
-    )
-    mc_cfgs = [mc_base.with_(seed=s) for s in range(n_seeds)]
-    t0 = time.perf_counter()
-    scalar = [run_single(c, cache=False) for c in mc_cfgs[:n_scalar]]
-    t_scalar = (time.perf_counter() - t0) * (n_seeds / n_scalar)
-    t0 = time.perf_counter()
-    batched = run_many(mc_cfgs, batch=n_seeds)
-    t_batch = time.perf_counter() - t0
-    if batched[:n_scalar] != scalar:  # pragma: no cover - determinism violation
-        raise AssertionError("batched Monte Carlo diverged from the scalar loop")
-    # columnar post-processing of the whole batch rides along un-timed:
-    # it validates the reduction path at full scale
-    from repro.experiments.runner import aggregate_columnar
-
-    aggregate_columnar(batched)
-    record("montecarlo_500", t_batch, n_seeds, baseline_wall_s=t_scalar)
-
-    # -- session-aware batching: 8-session plan x 200 seeds ------------- #
-    # The multi-session regime the session-schedule fold exists for: the
-    # ramp plan's top rung (8 staggered CBR flows) on the warmup-dominated
-    # Monte Carlo scenario, batched across seeds.  The warmup replay is
-    # shared; only the per-seed suffix (8 route discoveries + data) runs
-    # scalar, which is what keeps the batch side >= 5x ahead.  The scalar
-    # baseline is measured live over a seed prefix in fast mode and
-    # scaled linearly (replicates are independent).
-    n_ms = 200
-    n_ms_scalar = 20 if fast else n_ms
-    msb_cfg = mc_base.with_(sessions=ramp_plan(mc_base, 8))
-    msb_cfgs = [msb_cfg.with_(seed=s) for s in range(n_ms)]
-    t0 = time.perf_counter()
-    ms_scalar = [run_single(c, cache=False) for c in msb_cfgs[:n_ms_scalar]]
-    t_ms_scalar = (time.perf_counter() - t0) * (n_ms / n_ms_scalar)
-    t0 = time.perf_counter()
-    ms_batched = run_many(msb_cfgs, batch=n_ms)
-    t_ms_batch = time.perf_counter() - t0
-    if ms_batched[:n_ms_scalar] != ms_scalar:  # pragma: no cover
-        raise AssertionError("multi-session batch diverged from the scalar loop")
-    record("multisession_batch_200", t_ms_batch, n_ms, baseline_wall_s=t_ms_scalar)
-
-    # -- lossy Monte Carlo: iid frame loss through the batch kernel ----- #
-    # Same scenario as montecarlo_500 with 5% iid frame loss: the loss
-    # fates are pre-sampled as one rng block per seed and folded through
-    # the vectorized warmup (delivered/lost reception split + purge-epoch
-    # neighbor tables), instead of gating eligibility.
-    n_lossy_scalar = 50 if fast else n_seeds
-    ml_cfgs = [
-        mc_base.with_(loss_model="iid", loss_rate=0.05, seed=s)
-        for s in range(n_seeds)
-    ]
-    t0 = time.perf_counter()
-    lossy_scalar = [run_single(c, cache=False) for c in ml_cfgs[:n_lossy_scalar]]
-    t_lossy_scalar = (time.perf_counter() - t0) * (n_seeds / n_lossy_scalar)
-    t0 = time.perf_counter()
-    lossy_batched = run_many(ml_cfgs, batch=n_seeds)
-    t_lossy_batch = time.perf_counter() - t0
-    if lossy_batched[:n_lossy_scalar] != lossy_scalar:  # pragma: no cover
-        raise AssertionError("lossy batch diverged from the scalar loop")
-    record(
-        "montecarlo_lossy_500", t_lossy_batch, n_seeds,
-        baseline_wall_s=t_lossy_scalar,
-    )
 
     # -- persistent pool vs per-point pools over a 4-point sweep -------- #
     from concurrent.futures import ProcessPoolExecutor

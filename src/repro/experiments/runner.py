@@ -34,6 +34,7 @@ import gc
 import hashlib
 import json
 import os
+import threading
 import traceback as _traceback
 import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -66,7 +67,6 @@ __all__ = [
     "run_many",
     "monte_carlo",
     "aggregate",
-    "aggregate_columnar",
     "config_hash",
     "shared_pool",
     "shutdown_pool",
@@ -181,9 +181,11 @@ def _cache_store(path: Path, result: RunResult) -> None:
     payload.pop("positions", None)
     payload.pop("traffic", None)  # multi-session runs are never cached
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
     # default=float folds numpy scalars; write-then-rename keeps readers
-    # of a shared cache from seeing half a file
+    # of a shared cache from seeing half a file.  The temp name is private
+    # to this writer (pid + thread), so concurrent stores of one key from
+    # scheduler threads or pool workers never rename each other's file.
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     tmp.write_text(json.dumps(payload, default=float))
     tmp.replace(path)
 
@@ -810,76 +812,6 @@ def _chunk_plan(
     return [items[i:i + chunk_size] for i in range(0, len(items), chunk_size)]
 
 
-def _run_many_batched(
-    cfgs: List[SimulationConfig],
-    batch: int,
-    flags: List[bool],
-    progress: Optional[Callable[[int, int, RunResult], None]],
-    on_error: str,
-    on_result: Optional[Callable[[int, RunResult], None]],
-) -> List[RunResult]:
-    """Serial campaign routed through the vectorized many-seed kernel.
-
-    Eligible configs are grouped by :func:`repro.sim.batch.batch_group_key`
-    (the seed-masked warm-snapshot ``prefix_key``) and dispatched in
-    chunks of up to ``batch`` seeds; everything else runs scalar.
-    Results keep input order; ``progress``/``on_result`` fire in
-    completion order (batch groups land together, like pool chunks).
-    """
-    from repro.sim.batch import STATS, batch_eligible, batch_group_key, run_batch
-
-    total = len(cfgs)
-    slots: List[Optional[RunResult]] = [None] * total
-    done = 0
-
-    def _land(k: int, r: RunResult) -> None:
-        nonlocal done
-        slots[k] = r
-        done += 1
-        if on_result is not None:
-            on_result(k, r)
-        if progress is not None:
-            progress(done, total, r)
-
-    def _scalar(k: int, warm: bool) -> None:
-        c = cfgs[k]
-        try:
-            r = run_single(c, warm_start=warm or None)
-        except Exception as exc:  # noqa: BLE001 - wrapped with run identity
-            err = _run_error(c, k, repr(exc))
-            if on_error == "raise":
-                raise err from exc
-            r = err
-        _land(k, r)
-
-    groups: Dict[tuple, List[int]] = {}
-    scalar_ix: List[Tuple[int, str]] = []
-    for k, c in enumerate(cfgs):
-        reason = batch_eligible(c)
-        if reason is None:
-            groups.setdefault(batch_group_key(c), []).append(k)
-        else:
-            scalar_ix.append((k, reason))
-
-    for ix in groups.values():
-        for i0 in range(0, len(ix), batch):
-            chunk = ix[i0:i0 + batch]
-            try:
-                rs = run_batch([cfgs[k] for k in chunk])
-            except Exception:  # noqa: BLE001 - rerun the group scalar
-                # a mid-batch failure leaves no per-run attribution;
-                # rerunning scalar isolates (and re-raises/collects) it
-                for k in chunk:
-                    _scalar(k, False)
-            else:
-                for k, r in zip(chunk, rs):
-                    _land(k, r)
-    for k, reason in scalar_ix:
-        STATS.record_fallback(reason)
-        _scalar(k, flags[k])
-    return slots  # type: ignore[return-value]
-
-
 def run_many(
     configs: Iterable[SimulationConfig],
     workers: int = 1,
@@ -890,7 +822,6 @@ def run_many(
     on_result: Optional[Callable[[int, RunResult], None]] = None,
     on_sample: Optional[Callable[[int, "object"], None]] = None,
     sample_window: float = 0.25,
-    batch: int = 0,
 ) -> List[RunResult]:
     """Run every config; process-parallel when ``workers > 1``.
 
@@ -911,7 +842,7 @@ def run_many(
     TestCollectOrderingContract``; the campaign service's scheduler
     re-queues failed slots by index and depends on every clause): the
     returned list always has exactly ``len(configs)`` slots in input
-    order, on every execution path (serial, pool, batched) and under any
+    order, on every execution path (serial or pool) and under any
     mix of failures and successes; in collect mode a failed run's slot
     holds a :class:`RunError` whose ``index`` equals its position; and
     ``on_result(index, result)`` reports the same index the result lands
@@ -931,14 +862,6 @@ def run_many(
     runs never warm-start (observer state is not part of a snapshot), so
     ``warm`` is ignored when ``on_sample`` is set.
 
-    ``batch=N`` (serial, non-sampling campaigns only) routes eligible
-    configs through the vectorized many-seed kernel
-    (:func:`repro.sim.batch.run_batch`) in groups of up to ``N`` seeds
-    sharing a warm-snapshot ``prefix_key``.  Results are bit-identical
-    to the scalar loop; ineligible or inexpressible configs fall back to
-    scalar runs, counted in the ``batch_fallback`` obs counter.
-    ``batch`` is ignored when ``workers > 1`` or ``on_sample`` is set
-    (callbacks then fire in completion order, as with the pool path).
     """
     if on_error not in ("raise", "collect"):
         raise ValueError(f'on_error must be "raise" or "collect", got {on_error!r}')
@@ -952,10 +875,6 @@ def run_many(
     window = float(sample_window) if sampling else None
 
     if workers <= 1:
-        if batch and batch > 1 and not sampling:
-            return _run_many_batched(
-                cfgs, batch, flags, progress, on_error, on_result
-            )
         results: List[RunResult] = []
         # Every run builds a deployment of cyclic object graphs (nodes,
         # agents, bound-method event handlers) that dies at the next
@@ -965,8 +884,7 @@ def run_many(
         # the previous deployment is garbage — and once more on the way
         # out.  Everything the loop allocated is young (the collector
         # was paused), so a full collection would only re-walk the
-        # process's older live objects (same discipline as the batch
-        # kernel's reconstruction loop).
+        # process's older live objects.
         gc_was_enabled = total > 1 and gc.isenabled()
         if gc_was_enabled:
             gc.disable()
@@ -1072,27 +990,3 @@ def aggregate(results: Sequence[RunResult], metric: str) -> Dict[str, float]:
         "n": int(vals.size),
     }
 
-
-def aggregate_columnar(
-    results: Sequence[RunResult], metrics: Optional[Sequence[str]] = None
-) -> Dict[str, Dict[str, float]]:
-    """Summarise *all* numeric metrics over a result set in one pass.
-
-    ``aggregate`` re-walks the result list per metric; over a 500-seed
-    Monte Carlo batch times 14 metrics that is 7000 attribute sweeps.
-    This transposes the results into columnar per-seed arrays once
-    (:func:`repro.metrics.collect.columnar_metrics`) and reduces each
-    column vectorised — same key layout and numerics as ``aggregate``
-    per metric, minus the single-replicate warning (the NaN convention
-    for ``p50``/``p95`` at ``n < 2`` still applies).
-    """
-    from repro.metrics.collect import NUMERIC_METRICS, columnar_metrics, summarize_columnar
-
-    if len(results) == 0:
-        raise ValueError("no results to aggregate")
-    names = tuple(metrics) if metrics is not None else NUMERIC_METRICS
-    for m in names:
-        if not hasattr(results[0], m):
-            known = ", ".join(sorted(RunResult.__dataclass_fields__))
-            raise ValueError(f"unknown metric {m!r}; expected one of: {known}")
-    return summarize_columnar(columnar_metrics(results, names))

@@ -35,7 +35,6 @@ from repro.traffic.spec import TrafficPlan, ramp_plan
 __all__ = [
     "session_ramp",
     "traffic_campaign",
-    "campaign_batch_parity",
     "flag_off_digest_guard",
     "run_traffic",
 ]
@@ -157,53 +156,6 @@ def traffic_campaign(
     return violations, delivered
 
 
-def campaign_batch_parity(
-    runs: int = 25, n_sessions: int = 4, base_seed: int = 0
-) -> Tuple[int, int]:
-    """(digest drifts, batch-kernel runs) for the campaign's batch pass.
-
-    Replays the campaign's multi-session workload on its batch-eligible
-    twin (ideal MAC + HELLO phase — the vectorized kernel's domain),
-    once through the scalar per-seed path and once through
-    :func:`repro.sim.batch.run_batch`, sharing one trace recorder per
-    pass so the digests cover every seed.  Zero drift plus a nonzero
-    batch count is the CI guard that the session-aware kernel actually
-    served the multi-session campaign (see ``.github/workflows/ci.yml``).
-    """
-    from repro.net.packet import reset_uids
-    from repro.sim.batch import STATS, run_batch
-    from repro.sim.trace import TraceRecorder, trace_digest
-
-    base = SimulationConfig(
-        mac="ideal", hello_phase=True, hello_warmup=6.0,
-        construction_time=0.5, data_time=0.25,
-    )
-    plan = ramp_plan(base, n_sessions)
-    cfgs = [base.with_(seed=base_seed + r, sessions=plan) for r in range(runs)]
-    reset_uids()  # digests embed packet uids, a process-global counter
-    tr_scalar = TraceRecorder()
-    for cfg in cfgs:
-        run_single(cfg, trace=tr_scalar, cache=False, warm_start=False)
-    d_scalar = trace_digest(tr_scalar)
-    reset_uids()
-    batched_before = STATS.batched_runs
-    tr_batch = TraceRecorder()
-    run_batch(cfgs, trace=tr_batch)
-    drift = int(trace_digest(tr_batch) != d_scalar)
-    return drift, STATS.batched_runs - batched_before
-
-
-def _print_batch_stats() -> None:
-    """One-line batch-kernel tally with the fallback-reason histogram."""
-    from repro.sim.batch import STATS
-
-    reasons = dict(sorted(STATS.fallback_reasons.items()))
-    print(f"  [batch] runs={STATS.batched_runs}"
-          f" sessions={STATS.batched_sessions}"
-          f" fallback={STATS.fallback_runs}"
-          + (f"  reasons={reasons}" if reasons else ""))
-
-
 def run_traffic(args) -> None:
     """CLI entry point (see ``python -m repro.experiments traffic``)."""
     if args.traffic_campaign:
@@ -224,16 +176,6 @@ def run_traffic(args) -> None:
             print(f"  INVARIANT VIOLATIONS: {violations}", file=sys.stderr)
             raise SystemExit(1)
         print("  invariant violations: 0")
-        drift, batch_runs = campaign_batch_parity(runs=runs)
-        if drift or batch_runs == 0:
-            print(
-                f"BATCH PARITY FAILURE: digest drift={drift}, "
-                f"batch runs={batch_runs} (expected 0 drift, >0 runs)",
-                file=sys.stderr,
-            )
-            raise SystemExit(1)
-        print(f"  batch parity: ok ({batch_runs} batched runs, zero drift)")
-        _print_batch_stats()
         return
 
     max_sessions = args.traffic_sessions
@@ -265,4 +207,3 @@ def run_traffic(args) -> None:
         knee = saturation_knee(ramp, p)
         shown = f"{knee} sessions" if knee is not None else "not reached"
         print(f"saturation knee ({p}, delivery < {SATURATION_THRESHOLD}): {shown}")
-    _print_batch_stats()

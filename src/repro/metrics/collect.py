@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Set
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence, Set
 
 from repro.sim.trace import TraceKind, TraceRecorder
 
@@ -19,8 +17,6 @@ __all__ = [
     "extra_nodes",
     "average_relay_profit",
     "collect_metrics",
-    "columnar_metrics",
-    "summarize_columnar",
 ]
 
 
@@ -60,79 +56,6 @@ class MulticastMetrics:
     construction_latency: float = 0.0
     #: transmitting node ids (for snapshots)
     transmitters: Set[int] = field(default_factory=set)
-
-
-#: numeric per-run metrics, in declaration order — the columns of
-#: :func:`columnar_metrics`.  Shared by :class:`MulticastMetrics` and the
-#: runner's ``RunResult`` (which carries the same fields plus identity).
-NUMERIC_METRICS: Sequence[str] = (
-    "data_transmissions",
-    "tree_transmissions",
-    "extra_nodes",
-    "average_relay_profit",
-    "delivered",
-    "delivery_ratio",
-    "covered_receivers",
-    "join_query_tx",
-    "join_reply_tx",
-    "hello_tx",
-    "collisions",
-    "energy_joules",
-    "frames_lost",
-    "construction_latency",
-)
-
-
-def columnar_metrics(
-    results: Sequence[object], fields: Sequence[str] = NUMERIC_METRICS
-) -> Dict[str, "np.ndarray"]:
-    """Transpose per-run results into per-seed metric columns.
-
-    One pass over ``results`` builds a ``(runs, metrics)`` float64 matrix;
-    the returned dict maps each field name to its column **view** (no
-    copies).  Campaign post-processing then reduces whole arrays instead
-    of re-walking the result list once per metric — ``aggregate`` over a
-    500-seed batch touches each result object exactly once.
-
-    Works for any objects exposing the requested attributes
-    (``MulticastMetrics``, ``RunResult``); values are coerced to float,
-    matching ``np.asarray([...], dtype=float)`` in the scalar path.
-    """
-    mat = np.empty((len(results), len(fields)), dtype=np.float64)
-    for i, r in enumerate(results):
-        mat[i] = [getattr(r, f) for f in fields]
-    return {f: mat[:, j] for j, f in enumerate(fields)}
-
-
-def summarize_columnar(columns: Dict[str, "np.ndarray"]) -> Dict[str, Dict[str, float]]:
-    """Reduce each metric column to the standard summary statistics.
-
-    Per column: mean, sample std (ddof=1), standard error of the mean,
-    median and 95th percentile — the same key layout and numerics as the
-    runner's ``aggregate``, including its single-replicate convention
-    (``p50``/``p95`` are NaN when ``n < 2`` because percentiles of one
-    sample estimate nothing), but computed without re-walking the result
-    list once per metric.
-    """
-    out: Dict[str, Dict[str, float]] = {}
-    for name, vals in columns.items():
-        n = int(vals.shape[0])
-        if n > 1:
-            std = float(vals.std(ddof=1))
-            p50 = float(np.percentile(vals, 50.0))
-            p95 = float(np.percentile(vals, 95.0))
-        else:
-            std = 0.0
-            p50 = p95 = float("nan")
-        out[name] = {
-            "mean": float(vals.mean()) if n else float("nan"),
-            "std": std,
-            "sem": std / float(np.sqrt(n)) if n > 1 else 0.0,
-            "p50": p50,
-            "p95": p95,
-            "n": n,
-        }
-    return out
 
 
 def data_transmitters(trace: TraceRecorder) -> Set[int]:

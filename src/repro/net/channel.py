@@ -168,15 +168,9 @@ class Channel:
         self._push_fire = sim._queue.push_fire
         self._emit = sim.trace.emit
 
-        # Direct-finish lane (batch kernel): with a perfect channel, no
-        # loss model, and a MAC that never carrier-senses, the radio
-        # pipeline (begin_tx/end_tx, begin/finish_reception) feeds only
-        # the collision verdict — which ``perfect`` overrides — so a
-        # frame's completion batch can be filed at transmit time, with no
-        # arrival batch.  Finish ties keep the scalar order: same-frame
-        # equal-delay finishes follow delivery-list order (as the arrival
-        # pushes did), cross-frame ties follow transmit order (as the
-        # arrival execution order did).
+        # Always False: reception has a single lane.  Kept as a plain
+        # attribute because the benchmark's per-layer tracer
+        # (perfbench/tracing.py) reads it off every channel.
         self.direct_finish = False
 
         # counters useful for profiling and tests
@@ -452,12 +446,10 @@ class Channel:
         bits = packet.size_bits()
         duration = bits / self.bitrate_bps
         loss = self.loss
-        direct = self.direct_finish and loss is None and nodes
-        if not direct:
-            radio = self.radios[node_id]
-            radio.begin_tx(now, duration)
-            end = now + duration
-            self._push_fire(end, radio.end_tx, (end,), -1)
+        radio = self.radios[node_id]
+        radio.begin_tx(now, duration)
+        end = now + duration
+        self._push_fire(end, radio.end_tx, (end,), -1)
 
         self.frames_sent += 1
         self._emit(now, TraceKind.TX, node_id, packet.ptype, packet.uid)
@@ -495,17 +487,6 @@ class Channel:
         seq = queue.reserve(len(live))
         # Entries sort on (time, seq): seqs are unique, so tuple order
         # never compares the objects behind them.
-        if direct:
-            # Direct-finish lane: the completion batch is filed at transmit
-            # time, each receiver at the instant the arrive->finish chain
-            # would finish it — (now + delay) + duration, same float fold.
-            batch = [
-                ((now + delay) + duration, seq + i, None, rnode, nbr, None, False)
-                for i, (nbr, delay, power, radio, rnode) in enumerate(live)
-            ]
-            batch.sort()
-            queue.push_reserved(batch[0][0], 1, batch[0][1], self._finish, (batch, 0, packet))
-            return
         rx = [
             (now + delay, seq + i, radio, rnode, nbr, power, lost)
             for i, ((nbr, delay, power, radio, rnode), lost) in enumerate(zip(live, fates))
@@ -592,10 +573,7 @@ class Channel:
         :meth:`Radio.finish_reception` inline, charges RX energy, emits
         the RX / COLLISION / DROP record and dispatches a surviving frame
         to its node.  The dispatch may schedule anything, so the kernel is
-        asked before every next receiver, as in :meth:`_arrive`.  On the
-        direct-finish lane ``radio`` and ``rec`` are None: the collision
-        verdict, the reception's only output, is overridden by
-        ``perfect``.
+        asked before every next receiver, as in :meth:`_arrive`.
         """
         sim = self.sim
         runs_next = sim.runs_next
@@ -611,22 +589,20 @@ class Channel:
         while True:
             t, seq, radio, node, nbr, rec, lost = fin[k]
             sim.now = t
-            ok = True
-            if radio is not None:
-                # inline Radio.finish_reception
-                receptions = radio.receptions
-                receptions.remove(rec)
-                state = radio.state
-                if state is _RX:
-                    for r in receptions:
-                        if r.end > t:
-                            break
-                    else:
-                        radio.state = state = _IDLE
-                ok = rec.intact and not (state is _TX and t < radio.tx_until)
-                # recycle: this completion was the last reference holder
-                rec.frame = None
-                radio.free_pool.append(rec)
+            # inline Radio.finish_reception
+            receptions = radio.receptions
+            receptions.remove(rec)
+            state = radio.state
+            if state is _RX:
+                for r in receptions:
+                    if r.end > t:
+                        break
+                else:
+                    radio.state = state = _IDLE
+            ok = rec.intact and not (state is _TX and t < radio.tx_until)
+            # recycle: this completion was the last reference holder
+            rec.frame = None
+            radio.free_pool.append(rec)
             # A dead or sleeping radio neither spends RX energy nor hears
             # the frame (the arrival was scheduled while it was still up).
             if node is None or (node.alive and not node.asleep):

@@ -27,27 +27,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["LossModel", "IidLoss", "GilbertElliott", "frame_lost_matrix"]
-
-
-def frame_lost_matrix(
-    models: Sequence["LossModel"], src: int, dsts: Sequence[int]
-) -> np.ndarray:
-    """Fate of one broadcast frame across seeds: a ``(seed, dst)`` matrix.
-
-    ``models[s]`` is seed ``s``'s own loss model (its rng drawn from a
-    seed-batched pool, e.g. one ``BatchedStreams`` registry per seed).
-    Row ``s`` of the result is bit-equivalent to
-    ``models[s].frame_lost_batch(src, dsts)`` — same draws, same order,
-    so a batched kernel consuming the matrix leaves every per-seed
-    stream exactly where the scalar kernel would.  Models that vectorise
-    ``frame_lost_batch`` (``IidLoss``) fill their row with one block
-    draw.
-    """
-    out = np.empty((len(models), len(dsts)), dtype=bool)
-    for s, model in enumerate(models):
-        out[s] = model.frame_lost_batch(src, dsts)
-    return out
+__all__ = ["LossModel", "IidLoss", "GilbertElliott"]
 
 
 class LossModel:

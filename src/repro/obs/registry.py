@@ -30,22 +30,19 @@ Counter semantics (all monotone over a run):
 Gauges (point-in-time): ``energy_joules``, ``frames_lost``,
 ``frames_sent``, ``frames_collided``, ``pending_events``, ``forwarders``.
 
-Process-wide (not per-run): ``batch_runs`` / ``batch_sessions`` /
-``batch_fallback`` mirror ``repro.sim.batch.STATS`` — how many Monte
-Carlo replicates (and (seed × session) flows) went through the
-vectorized batch kernel versus fell back to the scalar path, plus a
-``batch_fallback.<reason>`` counter per fallback cause.  Likewise the
-``service_*`` family mirrors ``repro.service.stats.STATS`` — campaign
-requests, result-store cache hits, in-flight coalesces, replicates
-re-queued after failures and worker-pool restarts — so an observed run
-inside the campaign service exports the service's health counters
-through the same Prometheus/JSONL pipeline as the protocol counters.
+Process-wide (not per-run): the ``service_*`` family mirrors
+``repro.obs.service_stats.STATS`` — campaign requests, result-store
+cache hits, in-flight coalesces, replicates re-queued after failures
+and worker-pool restarts — so an observed run inside the campaign
+service exports the service's health counters through the same
+Prometheus/JSONL pipeline as the protocol counters.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
+from repro.obs.service_stats import STATS as _svc_stats
 from repro.sim.trace import TraceKind, TraceRecorder
 
 __all__ = ["CounterRegistry", "counters_from_trace", "session_counters"]
@@ -121,11 +118,6 @@ class CounterRegistry:
 
     def __init__(self) -> None:
         self.counters: Dict[str, int] = {name: 0 for name, _k, _p in _TRACE_COUNTERS}
-        self.counters["batch_runs"] = 0
-        self.counters["batch_sessions"] = 0
-        self.counters["batch_fallback"] = 0
-        from repro.service.stats import STATS as _svc_stats
-
         for name in _svc_stats.snapshot():
             self.counters[f"service_{name}"] = 0
         self.gauges: Dict[str, float] = {}
@@ -184,23 +176,9 @@ class CounterRegistry:
                 "mac_dropped_retry",
                 sum(getattr(n.mac, "dropped_retry", 0) for n in self._net.nodes),
             )
-        # Monte Carlo batching stats (process-wide, see repro.sim.batch.STATS):
-        # runs served by the vectorized kernel vs scalar fallbacks, with one
-        # reason-tagged counter per fallback cause.  This is the
-        # ``batch_fallback`` signal PERFORMANCE.md tells readers to check
-        # when a campaign is slower than expected.
-        from repro.sim.batch import STATS as _batch_stats
-
-        self.counters["batch_runs"] = _batch_stats.batched_runs
-        self.counters["batch_sessions"] = _batch_stats.batched_sessions
-        self.counters["batch_fallback"] = _batch_stats.fallback_runs
-        for reason, n in _batch_stats.fallback_reasons.items():
-            self.counters[f"batch_fallback.{reason}"] = n
-        # campaign-service health (process-wide, see repro.service.stats):
+        # campaign-service health (process-wide, see repro.obs.service_stats):
         # request/dedupe/recovery counters exported alongside the run's
         # protocol counters when a run executes inside the service tier
-        from repro.service.stats import STATS as _svc_stats
-
         for name, n in _svc_stats.snapshot().items():
             self.counters[f"service_{name}"] = n
         return self

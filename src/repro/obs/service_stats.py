@@ -1,11 +1,11 @@
 """Process-wide campaign-service counters.
 
-Mirrors the pattern of :data:`repro.sim.batch.STATS`: one module-level
-tally the service increments as requests flow through it, surfaced into
+One module-level tally the campaign service (:mod:`repro.service`, which
+re-exports it) increments as requests flow through it, surfaced into
 every :class:`repro.obs.registry.CounterRegistry` refresh under
-``service_*`` names (and printed by the ``serve`` CLI).  The module is
-deliberately import-light — no repro imports — so the obs layer can
-mirror it without pulling the asyncio front end into observed runs.
+``service_*`` names (and printed by the ``serve`` CLI).  It lives in the
+obs layer, with no repro imports, so observed runs mirror it without
+importing the service package and its asyncio front end.
 
 Counter semantics (all monotone over the process lifetime):
 

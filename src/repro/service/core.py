@@ -41,7 +41,7 @@ from typing import Any, AsyncIterator, Dict, List, Optional
 from repro.experiments.runner import RunError, config_hash
 from repro.service.scheduler import CampaignScheduler
 from repro.service.spec import CampaignSpec, SpecError, result_record
-from repro.service.stats import STATS
+from repro.obs.service_stats import STATS
 from repro.service.store import ResultStore
 
 __all__ = ["CampaignService"]
@@ -70,14 +70,13 @@ class CampaignService:
         scheduler: Optional[CampaignScheduler] = None,
         workers: int = 0,
         warm: bool = True,
-        batch: int = 0,
         max_concurrent: int = 4,
     ) -> None:
         if max_concurrent < 1:
             raise ValueError("max_concurrent must be >= 1")
         self.store = store
         self.scheduler = scheduler if scheduler is not None else CampaignScheduler(
-            workers=workers, warm=warm, batch=batch
+            workers=workers, warm=warm
         )
         self.stats = STATS
         self._inflight: Dict[str, _Job] = {}

@@ -2,11 +2,10 @@
 
 The scheduler is the service's pluggable execution tier on top of
 :func:`~repro.experiments.runner.run_many`.  One instance describes a
-*placement policy* — in-process serial (``workers <= 1``, optionally
-through the vectorized batch kernel) or the persistent multi-process
-pool (``workers > 1``) — behind one interface, ``execute``, that a
-multi-host shard would also satisfy (ship configs, stream back
-index-keyed results).
+*placement policy* — in-process serial (``workers <= 1``) or the
+persistent multi-process pool (``workers > 1``) — behind one interface,
+``execute``, that a multi-host shard would also satisfy (ship configs,
+stream back index-keyed results).
 
 Recovery model, in order of blast radius:
 
@@ -50,7 +49,7 @@ from repro.experiments.runner import (
     run_many,
     shutdown_pool,
 )
-from repro.service.stats import STATS
+from repro.obs.service_stats import STATS
 from repro.service.store import ResultStore
 
 __all__ = ["CampaignScheduler", "SchedulerError"]
@@ -77,15 +76,11 @@ class CampaignScheduler:
     Parameters
     ----------
     workers:
-        ``<= 1`` runs in-process (serial loop or, with ``batch``, the
-        vectorized many-seed kernel); ``> 1`` fans out over the
-        persistent process pool.
+        ``<= 1`` runs in-process (serial loop); ``> 1`` fans out over
+        the persistent process pool.
     warm:
         Fork shared run prefixes from warm snapshots where profitable
         (bit-identical either way; see :mod:`repro.sim.snapshot`).
-    batch:
-        In-process only: route eligible configs through
-        ``run_many(batch=N)``.
     chunk_size:
         Pool submission chunk size (None = auto).  The worker-kill tests
         pin it to 1 so a mid-campaign kill always has chunks in flight.
@@ -102,7 +97,6 @@ class CampaignScheduler:
         self,
         workers: int = 0,
         warm: Union[bool, str] = True,
-        batch: int = 0,
         chunk_size: Optional[int] = None,
         max_attempts: int = 3,
         kill_hook: Optional[Callable[[int], None]] = None,
@@ -111,7 +105,6 @@ class CampaignScheduler:
             raise ValueError("max_attempts must be >= 1")
         self.workers = int(workers)
         self.warm = warm
-        self.batch = int(batch)
         self.chunk_size = chunk_size
         self.max_attempts = int(max_attempts)
         self.kill_hook = kill_hook
@@ -189,7 +182,6 @@ class CampaignScheduler:
                         out = run_many(
                             sub,
                             warm=self.warm,
-                            batch=self.batch,
                             on_error="collect",
                             on_result=_cb,
                         )

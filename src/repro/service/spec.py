@@ -112,7 +112,8 @@ class CampaignSpec:
             )
         except SpecError:
             raise
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
+            # OverflowError: int() of a JSON Infinity
             raise SpecError(f"invalid campaign spec: {exc}") from exc
 
     def to_payload(self) -> Dict[str, Any]:

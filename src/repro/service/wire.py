@@ -65,7 +65,7 @@ async def _handle(
                 break
             try:
                 req = json.loads(line)
-            except ValueError:
+            except (ValueError, RecursionError):  # RecursionError: nested too deep
                 writer.write(_encode({"event": "error", "message": "malformed JSON"}))
                 await writer.drain()
                 continue

@@ -22,7 +22,7 @@ from typing import Dict, Hashable, Tuple
 
 import numpy as np
 
-__all__ = ["BatchedStreams", "RngRegistry"]
+__all__ = ["RngRegistry"]
 
 
 def _key_to_int(key: Tuple[Hashable, ...]) -> int:
@@ -134,85 +134,3 @@ class RngRegistry:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RngRegistry(seed={self.seed}, streams={len(self._streams)})"
 
-
-class _BlockDraw:
-    """One cross-seed block of draws from the same stream key.
-
-    Holds the per-seed matrix of speculatively drawn values plus the
-    bit-generator states captured *before* the block, so :meth:`commit`
-    can rewind each stream and redraw exactly the number of values the
-    scalar kernel would have consumed.  Because a size-``n`` numpy draw
-    is bitwise identical to ``n`` scalar draws (and leaves the generator
-    in the same state), the committed streams are draw-for-draw
-    indistinguishable from scalar execution.
-    """
-
-    __slots__ = ("matrix", "_gens", "_states", "_low", "_high")
-
-    def __init__(self, gens, states, matrix, low: float, high: float) -> None:
-        self._gens = gens
-        self._states = states
-        #: speculative draws, shape ``(n_seeds, n)``
-        self.matrix = matrix
-        self._low = low
-        self._high = high
-
-    def commit(self, counts) -> None:
-        """Rewind every stream, then consume exactly ``counts[s]`` draws.
-
-        After this the per-seed generators sit at the state the scalar
-        kernel would have left them in after ``counts[s]`` scalar draws.
-        """
-        low, high = self._low, self._high
-        for gen, state, count in zip(self._gens, self._states, counts):
-            gen.bit_generator.state = state
-            c = int(count)
-            if c:
-                gen.uniform(low, high, size=c)
-
-
-class BatchedStreams:
-    """Seed-batched view over per-seed :class:`RngRegistry` streams.
-
-    The facade owns one registry per seed and exposes matrix-shaped
-    draws whose row ``s`` comes from seed ``s``'s own stream — so any
-    value the batch kernel consumes is drawn from exactly the generator,
-    in exactly the order, that the scalar kernel would have used.  The
-    registries can then be handed to per-seed simulators to continue the
-    very same streams (:meth:`registry`).
-
-    Draw-count mismatches between the speculative block and the scalar
-    control flow are reconciled via :meth:`_BlockDraw.commit`.
-    """
-
-    def __init__(self, seeds) -> None:
-        self.seeds = [int(s) for s in seeds]
-        self.registries = [RngRegistry(s) for s in self.seeds]
-
-    def __len__(self) -> int:
-        return len(self.seeds)
-
-    def registry(self, s: int) -> RngRegistry:
-        """The per-seed registry (adoptable by a ``Simulator``)."""
-        return self.registries[s]
-
-    def stream(self, s: int, *key: Hashable) -> np.random.Generator:
-        """Seed ``s``'s generator for ``key`` — same object the scalar run uses."""
-        return self.registries[s].stream(*key)
-
-    def uniform_matrix(self, key: Tuple[Hashable, ...], low: float, high: float) -> np.ndarray:
-        """One scalar ``uniform(low, high)`` per seed, as a ``(n_seeds,)`` vector."""
-        return np.array(
-            [float(reg.stream(*key).uniform(low, high)) for reg in self.registries]
-        )
-
-    def uniform_block(
-        self, key: Tuple[Hashable, ...], low: float, high: float, n: int
-    ) -> _BlockDraw:
-        """Draw ``n`` values per seed speculatively; commit the real count later."""
-        gens = [reg.stream(*key) for reg in self.registries]
-        states = [g.bit_generator.state for g in gens]
-        matrix = np.empty((len(gens), n), dtype=np.float64)
-        for s, g in enumerate(gens):
-            matrix[s] = g.uniform(low, high, size=n)
-        return _BlockDraw(gens, states, matrix, low, high)

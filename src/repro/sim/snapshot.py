@@ -40,6 +40,7 @@ from __future__ import annotations
 import copy
 import io
 import pickle
+import warnings
 from collections import OrderedDict
 from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
@@ -433,7 +434,14 @@ class WarmSnapshot:
             _PrefixPickler(buf, shared_ids).dump(tuple(prefix))
             blob = buf.getvalue()
             live = None
-        except Exception:
+        except Exception as exc:
+            # still bit-identical, but every fork now pays a deepcopy
+            warnings.warn(
+                f"warm snapshot {key!r}: prefix did not pickle ({exc!r}); "
+                "forks fall back to per-fork deepcopy",
+                RuntimeWarning,
+                stacklevel=2,
+            )
             blob = None
             live = prefix  # never run further; deepcopied per fork
         finally:

@@ -121,8 +121,8 @@ def flow_delivery_columns(
     DELIVER details are flow keys ``(source, group, seq)``; matching on
     the (source, group) prefix collects every packet of each stream.
     The per-flow :func:`session_deliveries` scan is O(records) *per
-    flow*; multi-session plans (and the batch kernel's campaigns) call
-    this columnar form instead — O(records) once for the whole plan.
+    flow*; multi-session plans call this columnar form instead —
+    O(records) once for the whole plan.
     """
     out: Dict[Tuple[int, int], Tuple[Set[int], int]] = {
         (int(s), int(g)): (set(), 0) for s, g in flows

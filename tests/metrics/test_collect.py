@@ -83,55 +83,3 @@ class TestCollect:
         assert m.data_transmissions == m.tree_transmissions
         assert m.delivery_ratio == 1.0
 
-
-class TestColumnarMetrics:
-    """The vectorized per-seed reduction must mirror ``aggregate`` exactly."""
-
-    def _results(self, n):
-        from repro.experiments.config import SimulationConfig
-        from repro.experiments.runner import run_many
-
-        cfgs = [
-            SimulationConfig(protocol="mtmrp", topology="grid", group_size=10,
-                             mac="ideal", seed=s)
-            for s in range(n)
-        ]
-        return run_many(cfgs)
-
-    def test_columns_match_per_result_attributes(self):
-        from repro.metrics.collect import NUMERIC_METRICS, columnar_metrics
-
-        results = self._results(4)
-        cols = columnar_metrics(results)
-        assert set(cols) == set(NUMERIC_METRICS)
-        for name, vals in cols.items():
-            assert vals.shape == (4,)
-            assert vals.tolist() == pytest.approx(
-                [float(getattr(r, name)) for r in results]
-            )
-
-    def test_summary_matches_aggregate_exactly(self):
-        from repro.experiments.runner import aggregate, aggregate_columnar
-
-        results = self._results(5)
-        summary = aggregate_columnar(results)
-        for name, stats in summary.items():
-            ref = aggregate(results, name)
-            for field in ("mean", "std", "sem", "p50", "p95", "n"):
-                assert stats[field] == ref[field], (name, field)
-
-    def test_single_replicate_convention(self):
-        """n=1 keeps aggregate's convention: zero spread, NaN percentiles."""
-        from repro.experiments.runner import aggregate_columnar
-
-        (stats,) = [aggregate_columnar(self._results(1))["delivery_ratio"]]
-        assert stats["std"] == 0.0 == stats["sem"]
-        assert np.isnan(stats["p50"]) and np.isnan(stats["p95"])
-
-    def test_unknown_metric_and_empty_rejected(self):
-        from repro.experiments.runner import aggregate_columnar
-
-        with pytest.raises(ValueError, match="no results"):
-            aggregate_columnar([])
-        with pytest.raises(ValueError, match="delivery_ratio"):
-            aggregate_columnar(self._results(2), metrics=["no_such_metric"])

@@ -50,12 +50,10 @@ class ReferenceChannel(Channel):
             return
         bits = packet.size_bits()
         duration = bits / self.bitrate_bps
-        direct = self.direct_finish and self.loss is None and nodes
-        if not direct:
-            radio = self.radios[node_id]
-            radio.begin_tx(now, duration)
-            end = now + duration
-            self._push_fire(end, radio.end_tx, (end,), -1)
+        radio = self.radios[node_id]
+        radio.begin_tx(now, duration)
+        end = now + duration
+        self._push_fire(end, radio.end_tx, (end,), -1)
         self.frames_sent += 1
         self._emit(now, TraceKind.TX, node_id, packet.ptype, packet.uid)
         if node is not None:
@@ -63,16 +61,6 @@ class ReferenceChannel(Channel):
         delivery = self._delivery[node_id]
         if delivery is None:
             delivery = self._delivery_list(node_id)
-        if direct:
-            sim._queue.push_many(
-                [
-                    ((now + delay) + duration, self._ref_finish_direct, (rnode, nbr, packet))
-                    for nbr, delay, power, radio, rnode in delivery
-                    if rnode.alive and not rnode.asleep
-                ],
-                1,
-            )
-            return
         live = [e for e in delivery if e[4] is None or e[4].is_active]
         if self.loss is None:
             fates = [False] * len(live)
@@ -115,14 +103,6 @@ class ReferenceChannel(Channel):
             self.frames_collided += 1
             self._emit(now, TraceKind.COLLISION, nbr, packet.ptype, packet.uid)
 
-    def _ref_finish_direct(self, node, nbr: int, packet) -> None:
-        if not node.alive or node.asleep:
-            return
-        node.energy.charge_rx(self.energy_model.rx_energy(packet.size_bits()))
-        self.frames_delivered += 1
-        self._emit(self.sim.now, TraceKind.RX, nbr, packet.ptype, packet.uid)
-        node.on_packet_received(packet)
-
 
 #: send instants; equal picks give same-instant transmits
 SLOTS = (0.0, 0.0, 4e-4, 1e-3)
@@ -137,7 +117,6 @@ class Scenario:
     mac: str = "ideal"
     perfect: bool = False
     loss: Optional[float] = None
-    direct: bool = False
     #: ``(slot, sender)`` pairs
     sends: List[Tuple[int, int]] = field(default_factory=lambda: [(0, 4)])
     #: receivers rebroadcast the first frame they hear
@@ -220,7 +199,6 @@ def run_scenario(sc: Scenario, channel_cls) -> Tuple[list, int]:
             mac_factory=IdealMac if sc.mac == "ideal" else CsmaMac,
             perfect_channel=sc.perfect, loss=loss, bitrate_bps=sc.bitrate,
         )
-    net.channel.direct_finish = sc.direct
     log: list = []
     count = [0]
     for node in net.nodes:
@@ -258,7 +236,6 @@ def scenarios(draw) -> Scenario:
     mac = draw(st.sampled_from(["ideal", "csma"]))
     perfect = draw(st.booleans())
     loss = draw(st.sampled_from([None, None, 0.3]))
-    direct = mac == "ideal" and perfect and loss is None and draw(st.booleans())
     sends = draw(
         st.lists(
             st.tuples(st.integers(0, len(SLOTS) - 1), st.integers(0, n - 1)),
@@ -275,7 +252,7 @@ def scenarios(draw) -> Scenario:
     crash = draw(st.none() | st.tuples(st.integers(0, n - 1), st.one_of(window, anywhere)))
     return Scenario(
         layout=draw(st.sampled_from(["grid", "random"])),
-        n=n, mac=mac, perfect=perfect, loss=loss, direct=direct, sends=sends,
+        n=n, mac=mac, perfect=perfect, loss=loss, sends=sends,
         forward=draw(st.booleans()), zero_delay=draw(st.booleans()),
         stop_at=draw(st.none() | st.integers(1, 12)), crash=crash, cuts=cuts,
         bitrate=draw(st.sampled_from([2e6, 2e6, 1e12])),
@@ -304,8 +281,8 @@ def test_batches_match_per_receiver_reference(sc):
         Scenario(perfect=True, crash=(1, FIRE + 1e-4)),
         # i.i.d. loss rides the same batches
         Scenario(loss=0.3, sends=[(0, 4), (2, 0), (3, 8)], forward=True),
-        # the direct-finish lane (perfect, lossless, ideal MAC)
-        Scenario(perfect=True, direct=True, forward=True, zero_delay=True, stop_at=3),
+        # a perfect, lossless ideal-MAC flood stopped mid-batch
+        Scenario(perfect=True, forward=True, zero_delay=True, stop_at=3),
         # a frame's first completions come before its last arrivals
         Scenario(layout="random", bitrate=1e12, forward=True, zero_delay=True),
         # CSMA carrier sense reads the radio state the batches maintain

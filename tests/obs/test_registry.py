@@ -185,3 +185,32 @@ def test_session_counters_from_live_multisession_run():
     per_flow = {s.flow: s.delivered for s in result.traffic.sessions}
     assert c["session_delivers.0.1"] == 2 * per_flow[(0, 1)]
     assert c["session_delivers.24.2"] == 2 * per_flow[(24, 2)]
+
+
+def test_observed_run_does_not_import_the_service_package():
+    """The ``service_*`` mirror must not load the asyncio service tier."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "import sys\n"
+        "from repro.experiments.config import SimulationConfig\n"
+        "from repro.experiments.runner import run_single\n"
+        "from repro.obs import CounterRegistry, Observer\n"
+        "run_single(SimulationConfig(protocol='mtmrp', group_size=5, seed=1),"
+        " obs=Observer())\n"
+        "reg = CounterRegistry().refresh()\n"
+        "assert reg.counters['service_requests'] == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.service')))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=env,
+    )
+    assert out.stdout.strip() == "[]"

@@ -9,7 +9,12 @@ from __future__ import annotations
 import asyncio
 import gc
 import json
+import math
+import tempfile
 
+from hypothesis import given, settings, strategies as st
+
+from repro.experiments.config import PROTOCOL_LABELS
 from repro.experiments.runner import run_single
 from repro.service import (
     CampaignScheduler,
@@ -152,3 +157,114 @@ class TestUnixSocket:
 
         asyncio.run(main())
         assert reported == []
+
+
+# --------------------------------------------------------------------- #
+# byte-level fuzz of the request parser (unix socket)
+# --------------------------------------------------------------------- #
+_scalars = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+)
+_json = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_non_object = _json.filter(lambda v: not isinstance(v, dict))
+#: values ``int()`` rejects: wrong types, non-numeric text, non-finite
+_not_int = st.sampled_from(
+    [None, "x", "", [], {}, [1], math.inf, -math.inf, math.nan]
+)
+#: spec payloads ``CampaignSpec.from_payload`` must reject
+_bad_specs = st.one_of(
+    _non_object,
+    st.fixed_dictionaries({"warp": _json}),
+    st.fixed_dictionaries({"config": _non_object}),
+    st.fixed_dictionaries({"config": st.fixed_dictionaries({"warp": _json})}),
+    st.fixed_dictionaries(
+        {"config": st.fixed_dictionaries(
+            {"protocol": st.text(max_size=8).filter(lambda p: p not in PROTOCOL_LABELS)}
+        )}
+    ),
+    st.fixed_dictionaries(
+        {"config": st.fixed_dictionaries(
+            # the default grid has 100 nodes
+            {"group_size": st.integers(max_value=0) | st.integers(min_value=100)
+             | st.none() | st.text(max_size=4)}
+        )}
+    ),
+    st.fixed_dictionaries({"replicates": st.integers(max_value=0) | _not_int}),
+    st.fixed_dictionaries({"batch_seed": _not_int}),
+)
+
+
+def _encode_line(obj) -> bytes:
+    return json.dumps(obj).encode()
+
+
+_lines = st.one_of(
+    st.binary(max_size=64),
+    st.binary(min_size=1, max_size=32).map(lambda b: b"\xff" + b),  # invalid UTF-8
+    st.text(max_size=32).map(str.encode),
+    st.integers(2_000, 30_000).map(lambda n: b"[" * n),  # nested past the parser's depth
+    _non_object.map(_encode_line),
+    st.dictionaries(st.text(max_size=6), _json, max_size=3)
+    .filter(lambda d: d.get("op") not in ("ping", "stats", "submit"))
+    .map(_encode_line),
+    _bad_specs.map(lambda spec: _encode_line({"op": "submit", "spec": spec})),
+    st.integers(1, 4096).map(lambda k: b"x" * (LINE_LIMIT + k)),
+).map(lambda line: line.replace(b"\n", b""))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_lines, min_size=1, max_size=6))
+def test_fuzzed_request_lines_never_wedge_the_server(lines):
+    """Every line gets one reply; the server survives any byte sequence.
+
+    A line over ``LINE_LIMIT`` gets its error and a closed connection,
+    so the rest of the sequence goes out on a new one.  At the end a
+    fresh connection still gets a ``pong``.
+    """
+    reported = []
+
+    async def main(root: str):
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, ctx: reported.append(ctx)
+        )
+        service = CampaignService(
+            store=ResultStore(f"{root}/store"), scheduler=CampaignScheduler()
+        )
+        sock = f"{root}/svc.sock"
+        async with await start_server(service, unix_path=sock):
+            conn = None
+            try:
+                for line in lines:
+                    if conn is None:
+                        conn = await asyncio.open_unix_connection(sock)
+                    reader, writer = conn
+                    writer.write(line + b"\n")
+                    await writer.drain()
+                    ev = json.loads(await asyncio.wait_for(reader.readline(), 10.0))
+                    if len(line) > LINE_LIMIT:
+                        assert ev["event"] == "error"
+                        assert await asyncio.wait_for(reader.read(), 10.0) == b""
+                        writer.close()
+                        await writer.wait_closed()
+                        conn = None
+                    else:
+                        assert ev["event"] in ("error", "pong", "stats"), ev
+            finally:
+                if conn is not None:
+                    conn[1].close()
+                    await conn[1].wait_closed()
+            client = await ServiceClient.connect(unix_path=sock)
+            try:
+                assert (await asyncio.wait_for(client.ping(), 10.0)) == {"event": "pong"}
+            finally:
+                await client.close()
+        gc.collect()  # surface any never-retrieved handler exception
+
+    with tempfile.TemporaryDirectory() as root:
+        asyncio.run(main(root))
+    assert reported == []

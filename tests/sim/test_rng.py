@@ -87,92 +87,3 @@ def test_live_registries_never_share_a_generator():
     vb = gb.uniform(size=6)
     assert np.array_equal(va, vb)  # same seed: same values, own cursors
 
-
-# --------------------------------------------------------------------- #
-# seed-batched streams (the Monte Carlo batch kernel's rng facade)
-# --------------------------------------------------------------------- #
-from repro.sim.rng import BatchedStreams  # noqa: E402
-
-
-def test_batched_matrix_draw_equals_scalar_draws():
-    seeds = [0, 1, 42, 999]
-    bs = BatchedStreams(seeds)
-    got = bs.uniform_matrix(("hello", 7), 0.0, 0.1)
-    for s, seed in enumerate(seeds):
-        assert got[s] == RngRegistry(seed).stream("hello", 7).uniform(0.0, 0.1)
-
-
-@given(
-    st.lists(st.integers(min_value=0, max_value=2**20), min_size=1, max_size=4,
-             unique=True),
-    st.data(),
-)
-def test_block_commit_lands_on_exact_scalar_state(seeds, data):
-    """Property: speculate-then-commit is draw-for-draw scalar execution.
-
-    For any seeds and per-seed commit counts, the served prefix of a
-    block must equal the scalar draw sequence, and the generator must end
-    in the state a scalar kernel would leave after exactly that many
-    draws — so every *later* draw on the stream stays bit-identical too.
-    """
-    n = data.draw(st.integers(min_value=1, max_value=12), label="block size")
-    counts = [
-        data.draw(st.integers(min_value=0, max_value=n), label=f"count[{i}]")
-        for i in range(len(seeds))
-    ]
-    bs = BatchedStreams(seeds)
-    first = bs.uniform_matrix(("hello", 3), 0.0, 0.1)
-    block = bs.uniform_block(("hello", 3), -0.1, 0.1, n)
-    block.commit(counts)
-    tails = [bs.stream(s, "hello", 3).uniform(size=3) for s in range(len(seeds))]
-
-    for s, seed in enumerate(seeds):
-        g = RngRegistry(seed).stream("hello", 3)
-        assert first[s] == g.uniform(0.0, 0.1)
-        expect = g.uniform(-0.1, 0.1, size=counts[s])
-        assert np.array_equal(block.matrix[s, : counts[s]], expect)
-        assert np.array_equal(tails[s], g.uniform(size=3))
-
-
-def test_interleaved_batched_and_scalar_keys_stay_paired():
-    """Draws on one key never perturb another key's stream, batched or not."""
-    seeds = [5, 6]
-    bs = BatchedStreams(seeds)
-    bs.uniform_matrix(("hello", 0), 0.0, 0.1)
-    block = bs.uniform_block(("hello", 1), -0.1, 0.1, 8)
-    block.commit([3, 0])
-    other = [bs.stream(s, "mac", 2).uniform(size=4) for s in range(2)]
-    for s, seed in enumerate(seeds):
-        ref = RngRegistry(seed).stream("mac", 2).uniform(size=4)
-        assert np.array_equal(other[s], ref)
-
-
-def test_batched_streams_rewind_pooled_generators():
-    """Pool checkout/return ordering cannot leak a stale cursor.
-
-    A retired registry parks its (advanced) generators in the pool; a
-    ``BatchedStreams`` built afterwards with the same seeds checks them
-    out and must see each stream rewound to its initial state.
-    """
-    seeds = [101, 102, 103]
-    expect = {}
-    for seed in seeds:
-        reg = RngRegistry(seed)
-        expect[seed] = reg.stream("hello", 0).uniform(size=5)
-        del reg  # retire the advanced generator into the pool
-    bs = BatchedStreams(seeds)
-    got = bs.uniform_matrix(("hello", 0), 0.0, 1.0)
-    for s, seed in enumerate(seeds):
-        assert got[s] == expect[seed][0]
-
-
-def test_registry_handoff_continues_the_batched_stream():
-    """``registry(s)`` hands the very streams the batch advanced."""
-    bs = BatchedStreams([9])
-    head = bs.uniform_matrix(("hello", 4), 0.0, 0.1)
-    reg = bs.registry(0)
-    cont = reg.stream("hello", 4).uniform(size=3)
-
-    g = RngRegistry(9).stream("hello", 4)
-    assert head[0] == g.uniform(0.0, 0.1)
-    assert np.array_equal(cont, g.uniform(size=3))

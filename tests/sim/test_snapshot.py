@@ -86,6 +86,25 @@ def test_snapshot_reuse_across_suffix_variants():
     assert cache.misses == 1 and cache.hits == len(variants) - 1
 
 
+def test_unpicklable_prefix_warns_and_forks_by_deepcopy(monkeypatch):
+    """The deepcopy fallback is taken visibly, and forks still match cold."""
+    import repro.sim.snapshot as snapshot_mod
+
+    def refuse(self, obj):
+        raise pickle.PicklingError("refused for the test")
+
+    monkeypatch.setattr(snapshot_mod._PrefixPickler, "dump", refuse)
+    base = _corpus_config("006-routeerror-recovery.json")  # hello-phase run
+    variants = [base, base.with_(protocol="odmrp")]
+    cache = SnapshotCache()
+    with pytest.warns(RuntimeWarning, match="refused for the test") as caught:
+        warm = [run_single(v, cache=False, warm_start=cache) for v in variants]
+    fallbacks = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert len(fallbacks) == 1  # one capture, one warning
+    assert repr(prefix_key(base)) in str(fallbacks[0].message)
+    assert warm == [run_single(v, cache=False) for v in variants]
+
+
 def _build_hello_mobility_state(cfg):
     """A prefix the config layer can't express: HELLO plus live mobility."""
     sim = Simulator(seed=cfg.seed, trace=TraceRecorder())
@@ -163,6 +182,7 @@ def test_prefix_key_scopes_reuse():
     # ...prefix inputs do
     assert prefix_key(cfg.with_(seed=4)) != prefix_key(cfg)
     assert prefix_key(cfg.with_(group_size=11)) != prefix_key(cfg)
+    assert prefix_key(cfg.with_(hello_warmup=12.0)) != prefix_key(cfg)
     assert prefix_key(cfg.with_(loss_model="iid", loss_rate=0.1)) != prefix_key(cfg)
     # GMR's bootstrap records positions, so its prefix is its own
     assert prefix_key(cfg.with_(protocol="gmr")) != prefix_key(cfg)
