@@ -155,13 +155,20 @@ _CACHE_REQUIRED = frozenset(
 
 
 def _cache_load(path: Path) -> Optional[RunResult]:
-    """The cached result at ``path``, or None when the entry is missing,
-    unreadable, or not a stored result (a foreign or truncated file
-    reads as a miss, never as a crash)."""
+    """The cached result at ``path``, or None on a miss.
+
+    A missing or unreadable file is a plain miss.  An entry that is not a
+    stored result (undecodable, or JSON of the wrong shape) is renamed
+    aside to ``<name>.corrupt`` and counted as ``store_corrupt``: the run
+    recomputes, the bad bytes stay for inspection, and the next read is
+    an ordinary, uncounted miss.
+    """
     try:
         payload = json.loads(path.read_text())
-    except (OSError, ValueError):
+    except OSError:
         return None
+    except ValueError:  # undecodable bytes or JSON
+        payload = None
     if (
         not isinstance(payload, dict)
         or not _CACHE_REQUIRED <= payload.keys() <= _CACHE_KEYS
@@ -169,11 +176,23 @@ def _cache_load(path: Path) -> Optional[RunResult]:
             isinstance(payload.get(k, []), list) for k in ("transmitters", "receivers")
         )
     ):
+        _quarantine(path)
         return None
     payload["transmitters"] = tuple(payload.get("transmitters", ()))
     payload["receivers"] = tuple(payload.get("receivers", ()))
     payload["positions"] = None
     return RunResult(**payload)
+
+
+def _quarantine(path: Path) -> None:
+    """Move a corrupt entry aside; only the reader whose rename wins counts it."""
+    try:
+        path.replace(path.with_name(f"{path.name}.corrupt"))
+    except OSError:  # another reader moved it first
+        return
+    from repro.obs.service_stats import STATS
+
+    STATS.inc("store_corrupt")
 
 
 def _cache_store(path: Path, result: RunResult) -> None:
@@ -520,6 +539,10 @@ def _run_suffix(
         positions=positions if keep_positions else None,
         traffic=traffic,
     )
+    if check is None and obs is None:
+        # no harness or observer reads the deployment after this call:
+        # break its cycles so refcounting frees it as the call returns
+        net.close()
     return result
 
 
@@ -876,47 +899,31 @@ def run_many(
 
     if workers <= 1:
         results: List[RunResult] = []
-        # Every run builds a deployment of cyclic object graphs (nodes,
-        # agents, bound-method event handlers) that dies at the next
-        # iteration; generational GC re-scans those objects many times
-        # before they become unreachable.  Park the collector for the
-        # loop and sweep the young generation at run boundaries — where
-        # the previous deployment is garbage — and once more on the way
-        # out.  Everything the loop allocated is young (the collector
-        # was paused), so a full collection would only re-walk the
-        # process's older live objects.
-        gc_was_enabled = total > 1 and gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            for k, c in enumerate(cfgs):
-                try:
-                    if sampling:
-                        from repro.obs import Observer
+        # No collector choreography here: each run closes its deployment
+        # (Network.close), so refcounting frees it as the run returns and
+        # the young generation has no dead deployments left to sweep.
+        for k, c in enumerate(cfgs):
+            try:
+                if sampling:
+                    from repro.obs import Observer
 
-                        ob = Observer(
-                            window=window,
-                            on_sample=(lambda s, _k=k: on_sample(_k, s)),
-                        )
-                        r = run_single(c, obs=ob)
-                    else:
-                        r = run_single(c, warm_start=flags[k] or None)
-                except Exception as exc:  # noqa: BLE001 - wrapped with run identity
-                    err = _run_error(c, k, repr(exc))
-                    if on_error == "raise":
-                        raise err from exc
-                    r = err
-                results.append(r)
-                if on_result is not None:
-                    on_result(k, r)
-                if progress is not None:
-                    progress(len(results), total, r)
-                if gc_was_enabled and (k & 3) == 3:
-                    gc.collect(0)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-                gc.collect(0)
+                    ob = Observer(
+                        window=window,
+                        on_sample=(lambda s, _k=k: on_sample(_k, s)),
+                    )
+                    r = run_single(c, obs=ob)
+                else:
+                    r = run_single(c, warm_start=flags[k] or None)
+            except Exception as exc:  # noqa: BLE001 - wrapped with run identity
+                err = _run_error(c, k, repr(exc))
+                if on_error == "raise":
+                    raise err from exc
+                r = err
+            results.append(r)
+            if on_result is not None:
+                on_result(k, r)
+            if progress is not None:
+                progress(len(results), total, r)
         return results
 
     slots: List[Optional[RunResult]] = [None] * total

@@ -62,12 +62,16 @@ class CsmaParams:
     max_attempts: int = 400
 
 
+#: the params every default-built MAC shares (frozen, so sharing is safe)
+_DEFAULT_PARAMS = CsmaParams()
+
+
 class CsmaMac(Mac):
     """Carrier-sense multiple access with collision avoidance + unicast ARQ."""
 
     def __init__(self, params: CsmaParams | None = None, max_queue: int = 256) -> None:
         super().__init__(max_queue=max_queue)
-        self.params = params if params is not None else CsmaParams()
+        self.params = params if params is not None else _DEFAULT_PARAMS
         self.deferrals = 0
         self.retries = 0
         self.dropped_retry = 0

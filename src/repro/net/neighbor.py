@@ -19,8 +19,8 @@ JoinQuery round.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import AbstractSet, Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
 from repro.net.agent import Agent
 from repro.net.packet import HelloPacket, Packet
@@ -30,15 +30,26 @@ __all__ = ["NeighborEntry", "NeighborTable", "HelloAgent"]
 Session = Tuple[int, int, int]  # (source, group, seq)
 
 
+#: shared empty mark set; a real set replaces it on an entry's first mark
+_NO_SESSIONS: FrozenSet[Session] = frozenset()
+
+
 @dataclass(slots=True)
 class NeighborEntry:
-    """State kept about one one-hop neighbor."""
+    """State kept about one one-hop neighbor.
+
+    ``groups`` holds the frozenset the neighbor advertised, shared with
+    every entry built from the same HELLO (or, after a static bootstrap,
+    naming the same node).  The two mark sets start as a shared empty
+    frozenset and become a private set on first mark, so an unmarked
+    entry allocates no set at all.
+    """
 
     node_id: int
     last_seen: float = 0.0
-    groups: Set[int] = field(default_factory=set)
-    covered_sessions: Set[Session] = field(default_factory=set)
-    forwarder_sessions: Set[Session] = field(default_factory=set)
+    groups: FrozenSet[int] = frozenset()
+    covered_sessions: AbstractSet[Session] = _NO_SESSIONS
+    forwarder_sessions: AbstractSet[Session] = _NO_SESSIONS
     #: neighbor coordinates, when HELLOs carry positions (geographic mode)
     position: Optional[Tuple[float, float]] = None
 
@@ -65,7 +76,7 @@ class NeighborTable:
             entry = NeighborEntry(node_id=nbr)
             self._entries[nbr] = entry
         entry.last_seen = now
-        entry.groups = set(groups)
+        entry.groups = groups if type(groups) is frozenset else frozenset(groups)
         if position is not None:
             entry.position = (float(position[0]), float(position[1]))
         return entry
@@ -119,11 +130,21 @@ class NeighborTable:
 
     def mark_covered(self, nbr: int, session: Session) -> None:
         """Record that neighbor ``nbr`` is a covered receiver of ``session``."""
-        self._ensure(nbr).covered_sessions.add(session)
+        entry = self._ensure(nbr)
+        # test the type, not identity with _NO_SESSIONS: a forked
+        # deployment carries its own unpickled copy of the empty set
+        if type(entry.covered_sessions) is frozenset:
+            entry.covered_sessions = {session}
+        else:
+            entry.covered_sessions.add(session)
 
     def mark_forwarder(self, nbr: int, session: Session) -> None:
         """Record that neighbor ``nbr`` is a forwarder of ``session``."""
-        self._ensure(nbr).forwarder_sessions.add(session)
+        entry = self._ensure(nbr)
+        if type(entry.forwarder_sessions) is frozenset:
+            entry.forwarder_sessions = {session}
+        else:
+            entry.forwarder_sessions.add(session)
 
     def has_forwarder(self, session: Session, exclude: Iterable[int] = ()) -> bool:
         """Is any neighbor known to be a forwarder of ``session``? (PHS test)

@@ -133,15 +133,17 @@ class Network:
         """
         now = self.sim.now
         nodes = self.nodes
+        # one frozenset per node, shared by every entry naming it (what a
+        # HELLO's own frozenset gives the live phase)
+        groups = [frozenset(node.groups) for node in nodes]
         for node in nodes:
             update = node.neighbor_table.update_hello
             for nbr in self.channel.neighbors(node.node_id).tolist():
-                nbr_node = nodes[nbr]
                 update(
                     nbr,
-                    nbr_node.groups,
+                    groups[nbr],
                     now,
-                    position=nbr_node.position if with_positions else None,
+                    position=nodes[nbr].position if with_positions else None,
                 )
 
     def install_hello(
@@ -171,6 +173,24 @@ class Network:
         """Start every agent on every node."""
         for node in self.nodes:
             node.start_agents()
+
+    def close(self) -> None:
+        """Tear the finished deployment down so refcounting frees it.
+
+        Drops the pending events (their bound methods point into every
+        layer) and each link that closes a cycle: node → network, node →
+        agents and dispatch caches, MAC → node and MAC → channel.  The
+        chain ``channel → nodes → MAC`` stays, with every counter, so
+        per-run tallies remain readable.  The deployment is acyclic
+        afterwards and must not run again.
+        """
+        self.sim._queue.clear()
+        for node in self.nodes:
+            node.network = None
+            node.mac.node = node.mac.channel = None
+            node._agents = []
+            node._dispatch = {}
+            node._dispatch_cache = {}
 
     # ------------------------------------------------------------------ #
     # inspection helpers used by metrics / tests

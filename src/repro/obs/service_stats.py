@@ -21,7 +21,16 @@ Counter semantics (all monotone over the process lifetime):
                            worker loss (never silently dropped)
 ``worker_restarts``        worker-pool rebuilds after a worker died
 ``spec_errors``            submits rejected as malformed
+``store_corrupt``          result-store/cache entries that were not a
+                           stored result, renamed aside to
+                           ``<name>.corrupt`` (each counted once)
+``warm_fallbacks``         warm snapshots whose prefix did not pickle,
+                           so every fork pays a deepcopy
 =========================  ============================================
+
+The last two count degraded paths of the runner and the snapshot engine
+in any process, service or not, so a silent slowdown or a recompute
+shows up in the same export as the service's own health.
 """
 
 from __future__ import annotations
@@ -41,6 +50,8 @@ _FIELDS = (
     "replicates_requeued",
     "worker_restarts",
     "spec_errors",
+    "store_corrupt",
+    "warm_fallbacks",
 )
 
 

@@ -221,8 +221,8 @@ class Simulator:
         # allocates thousands of short-lived acyclic objects (heap entries,
         # trace records, receptions) that refcounting frees on its own,
         # while gen-0 collections triggered by that churn cost ~10% of the
-        # run.  Cyclic garbage (node/agent graphs) is produced per *run*,
-        # not per event, and is collected once GC resumes.
+        # run.  The cycles (node/agent graphs) exist per *run*, not per
+        # event, and ``Network.close`` breaks them when the run ends.
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()

@@ -436,6 +436,9 @@ class WarmSnapshot:
             live = None
         except Exception as exc:
             # still bit-identical, but every fork now pays a deepcopy
+            from repro.obs.service_stats import STATS
+
+            STATS.inc("warm_fallbacks")
             warnings.warn(
                 f"warm snapshot {key!r}: prefix did not pickle ({exc!r}); "
                 "forks fall back to per-fork deepcopy",
@@ -446,6 +449,8 @@ class WarmSnapshot:
             live = prefix  # never run further; deepcopied per fork
         finally:
             recorder.records = list(prefix_records)
+        if live is None:
+            prefix.net.close()  # the blob holds the state; free the build
         return cls(key, uid_base, uid_end, blob, live, shared, prefix_records)
 
     @property

@@ -12,8 +12,10 @@ Two guarantees pinned here:
    short-circuits every hook).
 
 Wall-clock ratios are noisy on shared CI machines, so the hard assert is
-deliberately loose (50%); the ISSUE-level target (< 15%) is verified by
-the numbers this test prints under ``pytest -s``.
+deliberately loose (50%) and compares the best of several interleaved
+plain/checked pairs: one ratio of two ~30 ms runs swings by more than the
+budget under full-suite load.  The < 15% target is verified by the
+numbers this test prints under ``pytest -s``.
 """
 
 from __future__ import annotations
@@ -40,16 +42,25 @@ def _run(check=None):
     return trace_digest(tr), time.perf_counter() - t0
 
 
+#: interleaved plain/checked pairs timed; each side keeps its best run
+PAIRS = 5
+
+
 def test_harness_does_not_change_golden_digest():
     _run()  # untimed warm-up: caches, allocator pools, first-touch numpy
-    plain_digest, plain_s = _run()
-    harness = CheckHarness(mode="raise")
-    checked_digest, checked_s = _run(check=harness)
-    assert plain_digest == GOLDEN[GOLDEN_KEY]
-    assert checked_digest == plain_digest
-    # the harness actually ran: both scheduled checkpoints fired clean
-    assert harness.report.checkpoints == ["route-discovery", "end-of-run"]
-    assert harness.report.ok
+    plain_times, checked_times = [], []
+    for _ in range(PAIRS):
+        plain_digest, plain_s = _run()
+        harness = CheckHarness(mode="raise")
+        checked_digest, checked_s = _run(check=harness)
+        assert plain_digest == GOLDEN[GOLDEN_KEY]
+        assert checked_digest == plain_digest
+        # the harness actually ran: both scheduled checkpoints fired clean
+        assert harness.report.checkpoints == ["route-discovery", "end-of-run"]
+        assert harness.report.ok
+        plain_times.append(plain_s)
+        checked_times.append(checked_s)
+    plain_s, checked_s = min(plain_times), min(checked_times)
     overhead = checked_s / plain_s - 1.0
     print(f"\nharness overhead on golden config: {overhead:+.1%} "
           f"({plain_s * 1e3:.1f} ms -> {checked_s * 1e3:.1f} ms)")

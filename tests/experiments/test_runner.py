@@ -1,11 +1,12 @@
 """Tests for the Monte-Carlo runner."""
 
 import copy
+import gc
 
 import numpy as np
 import pytest
 
-from repro.experiments.config import SimulationConfig
+from repro.experiments.config import PROTOCOLS, SimulationConfig
 from repro.experiments.runner import (
     RunError,
     RunResult,
@@ -145,6 +146,24 @@ class TestResultCache:
         assert run_single(cfg, cache=tmp_path) == run_single(cfg)
         assert run_single(cfg, cache=tmp_path) == run_single(cfg)
         assert path.read_text() != entry
+
+    @pytest.mark.parametrize(
+        "entry", [b'{"foo": 1}', b'{"protocol": "mtmrp"', b"\xff\xfe\x00garbage"],
+    )
+    def test_corrupt_entry_is_quarantined_and_counted_once(self, tmp_path, entry):
+        from repro.experiments.runner import _cache_load
+        from repro.obs.service_stats import STATS
+
+        path = tmp_path / "entry.json"
+        path.write_bytes(entry)
+        before = STATS.get("store_corrupt")
+        assert _cache_load(path) is None
+        assert STATS.get("store_corrupt") == before + 1
+        assert not path.exists()
+        assert (tmp_path / "entry.json.corrupt").read_bytes() == entry
+        # the entry is gone now: a second read is an ordinary, uncounted miss
+        assert _cache_load(path) is None
+        assert STATS.get("store_corrupt") == before + 1
 
     def test_concurrent_stores_of_one_key(self, tmp_path):
         """Writers racing on one key each rename their own temp file."""
@@ -462,3 +481,114 @@ class TestCollectOrderingContract:
         for i in range(len(cfgs)):
             if i not in bad_at:
                 assert serial[i] == pool[i]
+
+
+def _deepcopy_snapshot(cfg, monkeypatch):
+    """A warm snapshot on the deepcopy fallback: its prefix refuses to pickle."""
+    import repro.sim.snapshot as snapshot_mod
+
+    def refuse(*args, **kwargs):
+        raise TypeError("unpicklable extension object")
+
+    with monkeypatch.context() as m:
+        m.setattr(snapshot_mod._PrefixPickler, "dump", refuse)
+        with pytest.warns(RuntimeWarning, match="did not pickle"):
+            return snapshot_mod.WarmSnapshot.capture(cfg)
+
+
+class TestWarmFallbackCounter:
+    def test_pickling_failure_counts_a_warm_fallback(self, monkeypatch):
+        from repro.obs import CounterRegistry
+        from repro.obs.service_stats import STATS
+
+        before = STATS.get("warm_fallbacks")
+        _deepcopy_snapshot(SimulationConfig(protocol="mtmrp", seed=2, **FAST), monkeypatch)
+        assert STATS.get("warm_fallbacks") == before + 1
+        reg = CounterRegistry().refresh()
+        assert reg.counters["service_warm_fallbacks"] == before + 1
+        assert "service_store_corrupt" in reg.counters
+
+
+# --------------------------------------------------------------------- #
+# deployment teardown: a finished run leaves no cyclic garbage
+# --------------------------------------------------------------------- #
+CYCLE_PROTOCOLS = PROTOCOLS + ("flooding", "gmr")
+
+
+def _unreachable(fn) -> list:
+    """Type names of the objects only the cyclic collector could free
+    after ``fn()`` (everything refcounting left behind)."""
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        fn()
+        gc.collect()
+        return sorted({type(o).__name__ for o in gc.garbage})
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+class TestNoCycles:
+    """``run_single`` closes its deployment, so refcounting frees it whole:
+    the cold path, the pickled warm fork (capture included) and the
+    deepcopy fallback fork all leave nothing for the cyclic collector."""
+
+    @pytest.mark.parametrize("topology", ["grid", "random"])
+    @pytest.mark.parametrize("protocol", CYCLE_PROTOCOLS)
+    def test_run_leaves_no_cyclic_garbage(self, protocol, topology, monkeypatch):
+        from repro.sim.snapshot import SnapshotCache
+
+        cfg = SimulationConfig(protocol=protocol, topology=topology, group_size=10, seed=11)
+        run_single(cfg, cache=False)  # first-use imports and caches stay out
+        fallback = _deepcopy_snapshot(cfg, monkeypatch)
+        runs = {
+            "cold": lambda: run_single(cfg, cache=False),
+            "warm-pickled": lambda: run_single(
+                cfg, cache=False, warm_start=SnapshotCache()
+            ),
+            "warm-deepcopy": lambda: run_single(cfg, cache=False, warm_start=fallback),
+        }
+        for path, run in runs.items():
+            assert _unreachable(run) == [], path
+
+    def test_neighbor_marks_stay_on_their_entry(self):
+        """Unmarked entries share one empty frozenset; a mark gives its
+        entry a private set and never shows on another entry, in a cold
+        build or a warm fork, nor on a sibling fork."""
+        from repro.sim.snapshot import WarmSnapshot, build_prefix
+
+        cfg = SimulationConfig(protocol="mtmrp", topology="grid", group_size=10, seed=3)
+        session = (0, 1, 0)
+        snap = WarmSnapshot.capture(cfg)
+        sibling = snap.fork()
+        for prefix in (build_prefix(cfg), snap.fork()):
+            tables = [node.neighbor_table for node in prefix.net.nodes]
+            entries = [t.entry(n) for t in tables for n in sorted(t.ids())]
+            marker = tables[0]
+            covered, forwarder = sorted(marker.ids())[:2]
+            marker.mark_covered(covered, session)
+            marker.mark_forwarder(forwarder, session)
+            marker.mark_covered(covered, (0, 1, 1))  # a second mark, same set
+            for entry in entries:
+                own = entry is marker.entry(covered)
+                assert (session in entry.covered_sessions) == own
+                assert ((0, 1, 1) in entry.covered_sessions) == own
+                fwd = entry is marker.entry(forwarder)
+                assert (session in entry.forwarder_sessions) == fwd
+        for node in sibling.net.nodes:
+            for nbr in node.neighbor_table.ids():
+                entry = node.neighbor_table.entry(nbr)
+                assert not entry.covered_sessions and not entry.forwarder_sessions
+
+    def test_bootstrap_shares_one_groups_set_per_node(self):
+        from repro.sim.snapshot import build_prefix
+
+        cfg = SimulationConfig(protocol="mtmrp", topology="grid", group_size=10, seed=3)
+        net = build_prefix(cfg).net
+        seen = {}
+        for node in net.nodes:
+            for nbr in node.neighbor_table.ids():
+                groups = node.neighbor_table.entry(nbr).groups
+                assert groups == net.node(nbr).groups
+                assert seen.setdefault(nbr, groups) is groups
