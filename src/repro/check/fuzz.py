@@ -33,17 +33,11 @@ from typing import Any, Dict, Optional, Tuple
 import numpy as np
 
 from repro.check.harness import CheckHarness
-from repro.experiments.config import (
-    SimulationConfig,
-    make_agent_factory,
-    make_loss_model,
-    make_positions,
-)
+from repro.experiments.config import SimulationConfig, make_agent_factory
 from repro.faults.plan import FaultPlan
 from repro.protocols.repair import RepairPolicy
-from repro.sim.kernel import Simulator
-from repro.sim.trace import TraceKind, TraceRecorder, trace_digest
-from repro.traffic.engine import install_session_members, schedule_sessions
+from repro.sim.trace import TraceKind, trace_digest
+from repro.traffic.engine import schedule_sessions
 from repro.traffic.metrics import session_deliveries
 from repro.traffic.spec import active_sessions
 
@@ -184,54 +178,20 @@ def run_scenario(
     (e.g. a corpus file path).
     """
     from repro.faults import FaultInjector
-    from repro.mac.csma import CsmaMac
-    from repro.mac.ideal import IdealMac
-    from repro.net.network import Network
     from repro.net.packet import reset_uids
+    from repro.sim.snapshot import build_deployment
 
     cfg = scenario.config
     reset_uids()
-    trace = TraceRecorder(
-        enabled_kinds={TraceKind.TX, TraceKind.DELIVER, TraceKind.MARK, TraceKind.NOTE}
-    )
-    sim = Simulator(seed=cfg.seed, trace=trace)
     harness = CheckHarness(mode=mode, invariants=invariants)
-    harness.attach(sim, context=context if context is not None else scenario)
-
-    positions = make_positions(cfg, sim.rng.stream("topology"))
-    net = Network(
-        sim,
-        positions,
-        comm_range=cfg.comm_range,
-        mac_factory=IdealMac if cfg.mac == "ideal" else CsmaMac,
-        perfect_channel=cfg.perfect_channel or cfg.mac == "ideal",
-        loss=make_loss_model(cfg, sim.rng.stream("loss")),
+    (sim, net, receivers, _positions), session_recv = build_deployment(
+        cfg,
+        attach=lambda sim: harness.attach(
+            sim, context=context if context is not None else scenario
+        ),
     )
-    rng = sim.rng.stream("receivers")
-    candidates = np.arange(0, cfg.n_nodes)
-    candidates = candidates[candidates != cfg.source]
-    receivers = [
-        int(r) for r in rng.choice(candidates, size=cfg.group_size, replace=False)
-    ]
+    trace = sim.trace
     sess_plan = active_sessions(cfg)
-    session_recv = None
-    if sess_plan is None:
-        net.set_group_members(cfg.group, receivers)
-    else:
-        # the legacy draw's membership only lands when a session reuses
-        # it (mirrors build_prefix) — otherwise a plan session on
-        # cfg.group would see the union of both draws
-        if any(
-            s.receivers is None
-            and s.source == cfg.source
-            and s.group == cfg.group
-            and s.group_size == cfg.group_size
-            for s in sess_plan
-        ):
-            net.set_group_members(cfg.group, receivers)
-        session_recv = install_session_members(
-            cfg, sim, net, sess_plan, legacy_receivers=receivers
-        )
     if cfg.hello_phase:
         net.install_hello(period=cfg.hello_period)
     agents = net.install(make_agent_factory(cfg))

@@ -31,16 +31,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.experiments.config import (
-    SimulationConfig,
-    make_agent_factory,
-    make_loss_model,
-    make_positions,
-)
+from repro.experiments.config import SimulationConfig, make_agent_factory
 from repro.faults.plan import FaultPlan
 from repro.protocols.repair import RepairPolicy
-from repro.sim.kernel import Simulator
-from repro.sim.trace import TraceKind, TraceRecorder, trace_digest
+from repro.sim.trace import TraceKind, trace_digest
 
 __all__ = [
     "ChaosRunResult",
@@ -183,59 +177,36 @@ def run_chaos_single(
     """
     from repro.check.harness import CheckHarness
     from repro.faults import FaultInjector
-    from repro.mac.csma import CsmaMac
-    from repro.mac.ideal import IdealMac
     from repro.metrics.faults import (
         delivery_ratio,
         mean_time_to_recovery,
         time_in_state,
         windowed_delivery,
     )
-    from repro.net.network import Network
     from repro.net.packet import reset_uids
+    from repro.sim.snapshot import build_prefix
 
     reset_uids()
     geo = cfg.protocol == "gmr"
-    sim = Simulator(
-        seed=cfg.seed,
-        trace=TraceRecorder(
-            enabled_kinds={TraceKind.TX, TraceKind.DELIVER, TraceKind.MARK, TraceKind.NOTE}
-        ),
-    )
     harness = CheckHarness(mode="collect") if check and not geo else None
+    attach = None
     if harness is not None:
-        harness.attach(sim, context=f"chaos seed={cfg.seed} repair={policy is not None}")
+        def attach(sim):
+            harness.attach(sim, context=f"chaos seed={cfg.seed} repair={policy is not None}")
 
-    positions = make_positions(cfg, sim.rng.stream("topology"))
-    net = Network(
-        sim,
-        positions,
-        comm_range=cfg.comm_range,
-        mac_factory=IdealMac if cfg.mac == "ideal" else CsmaMac,
-        perfect_channel=cfg.perfect_channel or cfg.mac == "ideal",
-        loss=make_loss_model(cfg, sim.rng.stream("loss")),
+    sim, net, receivers, positions = build_prefix(
+        cfg.with_(hello_phase=True), attach=attach
     )
-    rng = sim.rng.stream("receivers")
-    candidates = np.arange(0, cfg.n_nodes)
-    candidates = candidates[candidates != cfg.source]
-    receivers = [
-        int(r) for r in rng.choice(candidates, size=cfg.group_size, replace=False)
-    ]
-    net.set_group_members(cfg.group, receivers)
-    net.install_hello(period=cfg.hello_period, share_position=geo)
     agents = net.install(make_agent_factory(cfg))
-    if not geo:
-        for a in agents:
+    for a in agents:
+        if not geo:
             a.fg_timeout = 2.5 * refresh_interval
-        if policy is not None:
-            for a in agents:
-                if getattr(a, "supports_repair", False):
-                    a.repair_policy = policy
-    net.start()
+            if policy is not None and getattr(a, "supports_repair", False):
+                a.repair_policy = policy
+        a.start()
     if harness is not None:
         harness.bind_network(net, agents, cfg.source, cfg.group, receivers)
 
-    sim.run(until=cfg.hello_warmup)
     src = agents[cfg.source]
     if not geo:
         src.request_route(cfg.group)
@@ -273,6 +244,8 @@ def run_chaos_single(
     sim.run(until=data_end + refresh_interval + 1.0)
     if not geo:
         src.stop_periodic_refresh(cfg.group)
+        for r in receivers:
+            agents[r].stop_route_monitor(cfg.source, cfg.group)
     if harness is not None:
         harness.checkpoint("end-of-run")
         harness.detach()
@@ -291,7 +264,7 @@ def run_chaos_single(
         trace, receivers, send_times, source=cfg.source, group=cfg.group
     )
     states = time_in_state(trace, float(sim.now))
-    return ChaosRunResult(
+    result = ChaosRunResult(
         protocol=cfg.protocol,
         seed=cfg.seed,
         repair=policy is not None,
@@ -319,6 +292,8 @@ def run_chaos_single(
         trace_sha256=trace_digest(trace),
         fault_log=tuple(injector.log),
     )
+    net.close()
+    return result
 
 
 def chaos_sweep(

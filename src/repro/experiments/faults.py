@@ -20,14 +20,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.experiments.config import (
-    SimulationConfig,
-    make_agent_factory,
-    make_loss_model,
-    make_positions,
-)
-from repro.sim.kernel import Simulator
-from repro.sim.trace import TraceKind, TraceRecorder, trace_digest
+from repro.experiments.config import SimulationConfig, make_agent_factory
+from repro.sim.trace import trace_digest
 
 __all__ = ["FaultRunResult", "run_fault_single", "fault_sweep", "trace_digest"]
 
@@ -91,41 +85,18 @@ def run_fault_single(
     * ``cfg.loss_model`` — channel-level frame erasures.
     """
     from repro.faults import FaultInjector
-    from repro.mac.csma import CsmaMac
-    from repro.mac.ideal import IdealMac
     from repro.metrics.faults import collect_fault_metrics
-    from repro.net.network import Network
     from repro.net.packet import reset_uids
+    from repro.sim.snapshot import build_prefix
 
     reset_uids()  # uids are process-global; fresh sequence per run
-    sim = Simulator(
-        seed=cfg.seed,
-        trace=TraceRecorder(
-            enabled_kinds={TraceKind.TX, TraceKind.DELIVER, TraceKind.MARK, TraceKind.NOTE}
-        ),
-    )
-    positions = make_positions(cfg, sim.rng.stream("topology"))
-    mac_factory = IdealMac if cfg.mac == "ideal" else CsmaMac
-    net = Network(
-        sim,
-        positions,
-        comm_range=cfg.comm_range,
-        mac_factory=mac_factory,
-        perfect_channel=cfg.perfect_channel or cfg.mac == "ideal",
-        loss=make_loss_model(cfg, sim.rng.stream("loss")),
-    )
-    rng = sim.rng.stream("receivers")
-    candidates = np.arange(0, cfg.n_nodes)
-    candidates = candidates[candidates != cfg.source]
-    receivers = [int(r) for r in rng.choice(candidates, size=cfg.group_size, replace=False)]
-    net.set_group_members(cfg.group, receivers)
-    net.bootstrap_neighbor_tables()
+    sim, net, receivers, positions = build_prefix(cfg)
     agents = net.install(make_agent_factory(cfg))
     for a in agents:
         # forwarder soft state must outlive one refresh period but expire
         # soon after, so a dead relay's tree entry ages out by itself
         a.fg_timeout = fg_timeout_factor * refresh_interval
-    net.start()
+        a.start()
 
     src = agents[cfg.source]
     src.request_route(cfg.group)
@@ -159,7 +130,7 @@ def run_fault_single(
         group=cfg.group,
         threshold=recovery_threshold,
     )
-    return FaultRunResult(
+    result = FaultRunResult(
         protocol=cfg.protocol,
         seed=cfg.seed,
         packets_sent=fm.packets_sent,
@@ -180,6 +151,8 @@ def run_fault_single(
             getattr(n.mac, "dropped_retry", 0) for n in net.nodes
         ),
     )
+    net.close()
+    return result
 
 
 def fault_sweep(

@@ -15,8 +15,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.experiments.config import SimulationConfig, make_agent_factory, make_positions
-from repro.sim.kernel import Simulator
+from repro.experiments.config import SimulationConfig, make_agent_factory
 from repro.sim.trace import TraceKind, TraceRecorder
 
 __all__ = ["CbrResult", "run_cbr", "load_sweep"]
@@ -44,31 +43,14 @@ def run_cbr(
     n_packets: int = 20,
 ) -> CbrResult:
     """Stream ``n_packets`` at ``rate_pps`` down one constructed tree."""
-    from repro.mac.csma import CsmaMac
-    from repro.mac.ideal import IdealMac
-    from repro.net.network import Network
+    from repro.sim.snapshot import build_prefix
 
-    sim = Simulator(
-        seed=cfg.seed,
-        trace=TraceRecorder(enabled_kinds={TraceKind.TX, TraceKind.DELIVER}),
+    sim, net, receivers, _positions = build_prefix(
+        cfg, trace=TraceRecorder(enabled_kinds={TraceKind.TX, TraceKind.DELIVER})
     )
-    positions = make_positions(cfg, sim.rng.stream("topology"))
-    mac_factory = IdealMac if cfg.mac == "ideal" else CsmaMac
-    net = Network(
-        sim,
-        positions,
-        comm_range=cfg.comm_range,
-        mac_factory=mac_factory,
-        perfect_channel=cfg.perfect_channel or cfg.mac == "ideal",
-    )
-    rng = sim.rng.stream("receivers")
-    candidates = np.arange(0, cfg.n_nodes)
-    candidates = candidates[candidates != cfg.source]
-    receivers = [int(r) for r in rng.choice(candidates, size=cfg.group_size, replace=False)]
-    net.set_group_members(cfg.group, receivers)
-    net.bootstrap_neighbor_tables()
     agents = net.install(make_agent_factory(cfg))
-    net.start()
+    for agent in agents:
+        agent.start()
 
     src = agents[cfg.source]
     src.request_route(cfg.group)
@@ -87,7 +69,7 @@ def run_cbr(
             delivered += 1
     data_tx = sim.trace.count(TraceKind.TX, "DataPacket")
     duration = n_packets * interval
-    return CbrResult(
+    result = CbrResult(
         protocol=cfg.protocol,
         rate_pps=rate_pps,
         packets_sent=n_packets,
@@ -96,6 +78,8 @@ def run_cbr(
         tx_per_packet=data_tx / n_packets,
         collisions=net.channel.frames_collided,
     )
+    net.close()
+    return result
 
 
 def load_sweep(

@@ -508,9 +508,9 @@ def _run_suffix(
             net, agents, cfg, plan, members, horizon - t0
         )
     elif cfg.protocol == "flooding":
-        m = _flooding_metrics(net, cfg, receivers)
+        m = _treeless_metrics(net, cfg, receivers, "DataPacket")
     elif geographic:
-        m = _geo_metrics(net, cfg, receivers)
+        m = _treeless_metrics(net, cfg, receivers, "GeoDataPacket")
     else:
         m = collect_metrics(net, agents, cfg.source, cfg.group, receivers)
     result = RunResult(
@@ -612,39 +612,15 @@ def _traffic_run_metrics(net, agents, cfg: SimulationConfig, plan, members, hori
     return m, traffic
 
 
-def _flooding_metrics(net, cfg: SimulationConfig, receivers: Sequence[int]):
-    """Flooding has no tree; every transmitter is a 'forwarder'."""
+def _treeless_metrics(net, cfg: SimulationConfig, receivers: Sequence[int], data_type: str):
+    """Flooding and GMR keep no tree: every ``data_type`` transmitter is a
+    'forwarder' and every data transmission counts as tree cost."""
     from repro.metrics.collect import MulticastMetrics, average_relay_profit, extra_nodes
 
     trace = net.sim.trace
-    transmitters = trace.nodes_with(TraceKind.TX, "DataPacket")
+    transmitters = trace.nodes_with(TraceKind.TX, data_type)
     delivered = len(trace.nodes_with(TraceKind.DELIVER) & set(receivers))
-    return MulticastMetrics(
-        data_transmissions=trace.count(TraceKind.TX, "DataPacket"),
-        tree_transmissions=trace.count(TraceKind.TX, "DataPacket"),
-        extra_nodes=extra_nodes(transmitters, cfg.source, receivers),
-        average_relay_profit=average_relay_profit(net, transmitters, receivers),
-        delivered=delivered,
-        delivery_ratio=delivered / len(receivers) if receivers else 1.0,
-        covered_receivers=delivered,
-        join_query_tx=0,
-        join_reply_tx=0,
-        hello_tx=trace.count(TraceKind.TX, "HelloPacket"),
-        collisions=net.channel.frames_collided,
-        energy_joules=net.energy_summary()["total_joules"],
-        frames_lost=net.channel.frames_lost,
-        transmitters=transmitters,
-    )
-
-
-def _geo_metrics(net, cfg: SimulationConfig, receivers: Sequence[int]):
-    """GMR metrics: packets are GeoDataPackets, there is no tree state."""
-    from repro.metrics.collect import MulticastMetrics, average_relay_profit, extra_nodes
-
-    trace = net.sim.trace
-    transmitters = trace.nodes_with(TraceKind.TX, "GeoDataPacket")
-    delivered = len(trace.nodes_with(TraceKind.DELIVER) & set(receivers))
-    tx = trace.count(TraceKind.TX, "GeoDataPacket")
+    tx = trace.count(TraceKind.TX, data_type)
     return MulticastMetrics(
         data_transmissions=tx,
         tree_transmissions=tx,

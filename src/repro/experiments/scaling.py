@@ -18,10 +18,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import List, Sequence, Union
 
-import numpy as np
-
-from repro.experiments.config import SimulationConfig, make_agent_factory, make_positions
-from repro.sim.kernel import Simulator
+from repro.experiments.config import SimulationConfig, make_agent_factory
 from repro.sim.trace import TraceKind, TraceRecorder
 
 __all__ = ["ScalingPoint", "run_scaling_point", "scaling_sweep", "DEFAULT_SIZES"]
@@ -51,40 +48,27 @@ class ScalingPoint:
 
 def run_scaling_point(cfg: SimulationConfig) -> ScalingPoint:
     """One multicast round under ``cfg`` with a counters-only trace."""
-    from repro.mac.csma import CsmaMac
-    from repro.mac.ideal import IdealMac
-    from repro.net.network import Network
+    from repro.sim.snapshot import build_prefix
 
     t0 = time.perf_counter()
-    sim = Simulator(seed=cfg.seed, trace=TraceRecorder(counters_only=True))
-    positions = make_positions(cfg, sim.rng.stream("topology"))
-    net = Network(
-        sim,
-        positions,
-        comm_range=cfg.comm_range,
-        mac_factory=IdealMac if cfg.mac == "ideal" else CsmaMac,
-        perfect_channel=cfg.perfect_channel or cfg.mac == "ideal",
+    sim, net, _receivers, _positions = build_prefix(
+        cfg, trace=TraceRecorder(counters_only=True)
     )
-    recv_rng = sim.rng.stream("receivers")
-    candidates = np.arange(0, cfg.n_nodes)
-    candidates = candidates[candidates != cfg.source]
-    receivers = [int(r) for r in recv_rng.choice(candidates, size=cfg.group_size, replace=False)]
-    net.set_group_members(cfg.group, receivers)
     agents = net.install(make_agent_factory(cfg))
-    net.start()
-    net.bootstrap_neighbor_tables()
+    for agent in agents:
+        agent.start()
     build_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     source_agent = agents[cfg.source]
-    settle = cfg.effective_construction_time
+    settle = sim.now + cfg.effective_construction_time
     source_agent.request_route(cfg.group)
     sim.run(until=settle)
     source_agent.send_data(cfg.group, 0)
     sim.run(until=settle + cfg.data_time)
     run_s = time.perf_counter() - t0
 
-    return ScalingPoint(
+    point = ScalingPoint(
         n_nodes=cfg.n_nodes,
         protocol=cfg.protocol,
         seed=cfg.seed,
@@ -96,6 +80,8 @@ def run_scaling_point(cfg: SimulationConfig) -> ScalingPoint:
         frames_delivered=net.channel.frames_delivered,
         delivers=sim.trace.count(TraceKind.DELIVER),
     )
+    net.close()
+    return point
 
 
 def scaling_sweep(

@@ -9,6 +9,10 @@ SimulationConfig` fields (see :func:`prefix_key`), so paired designs that
 sweep protocol or tuning parameters at a *fixed seed* recompute an
 identical prefix once per run.
 
+The cold prefix, :func:`build_prefix`, is also the only code that builds
+a simulated deployment: the fault, chaos, load and scaling drivers call
+it too, and the fuzzer calls its first half, :func:`build_deployment`.
+
 :class:`WarmSnapshot` captures the complete live state at the prefix
 boundary — kernel clock + event heap, every node/MAC/radio, the channel's
 cached geometry, all per-``(seed, key)`` rng generator states, the trace
@@ -42,7 +46,7 @@ import io
 import pickle
 import warnings
 from collections import OrderedDict
-from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -59,6 +63,7 @@ __all__ = [
     "ForkedPrefix",
     "prefix_key",
     "build_prefix",
+    "build_deployment",
     "absorb_trace",
     "default_trace_kinds",
     "warm_profitable",
@@ -163,44 +168,37 @@ class ForkedPrefix(NamedTuple):
     positions: np.ndarray
 
 
-def build_prefix(
+def build_deployment(
     cfg: "SimulationConfig",
     trace: Optional[TraceRecorder] = None,
     attach=None,
-    obs=None,
-) -> ForkedPrefix:
-    """Build a deployment up to the snapshot boundary (cold path).
+) -> Tuple[ForkedPrefix, Optional[Dict[Tuple[int, int], List[int]]]]:
+    """Build ``cfg``'s deployment, before any neighbor discovery.
 
-    Everything up to — and including — neighbor discovery: topology,
-    channel, receiver draw, then either the simulated HELLO warmup
-    (``cfg.hello_phase``, HELLO agents started) or the static bootstrap
-    fixed point.  Protocol agents are *not* installed; their ``start()``
-    is a no-op and they handle no HELLO traffic, so installing them after
-    the boundary is trace-identical to the historical single-pass build.
+    The one place a simulated deployment is put together: kernel,
+    topology, propagation, channel (with the loss model), the legacy
+    receiver draw and session membership.  Every driver starts here,
+    through :func:`build_prefix` or directly, so all of them see the
+    same deployment for the same config.
 
     ``attach(sim)`` — when given — runs right after kernel creation,
     before the channel caches ``trace.emit`` (the check-harness and
-    observer hook; such runs are never snapshotted).  ``obs`` — an
-    already-constructed :class:`repro.obs.Observer` — additionally
-    brackets the build and HELLO warmup in phase spans; its ``attach``
-    must be wired through the ``attach`` hook by the caller.
+    observer hook).  Returns the deployment and, for multi-session
+    configs, each flow's receivers in draw order (``None`` otherwise).
     """
     from repro.experiments.config import make_loss_model, make_positions
     from repro.mac.csma import CsmaMac
     from repro.mac.ideal import IdealMac
     from repro.net.network import Network
     from repro.sim.kernel import Simulator
+    from repro.traffic.spec import active_sessions
 
     if trace is None:
         trace = TraceRecorder(enabled_kinds=default_trace_kinds(cfg))
     sim = Simulator(seed=cfg.seed, trace=trace)
     if attach is not None:
         attach(sim)
-    if obs is not None:
-        obs.spans.begin("prefix-build", sim, topology=cfg.topology, seed=cfg.seed)
     positions = make_positions(cfg, sim.rng.stream("topology"))
-    perfect = cfg.perfect_channel or cfg.mac == "ideal"
-    mac_factory = IdealMac if cfg.mac == "ideal" else CsmaMac
     propagation = None
     if cfg.shadowing_sigma_db > 0.0:
         from repro.phy.propagation import LogDistance
@@ -220,8 +218,8 @@ def build_prefix(
         sim,
         positions,
         comm_range=cfg.comm_range,
-        mac_factory=mac_factory,
-        perfect_channel=perfect,
+        mac_factory=IdealMac if cfg.mac == "ideal" else CsmaMac,
+        perfect_channel=cfg.perfect_channel or cfg.mac == "ideal",
         propagation=propagation,
         loss=make_loss_model(cfg, sim.rng.stream("loss")),
     )
@@ -232,38 +230,57 @@ def build_prefix(
     receivers = recv_rng.choice(candidates, size=cfg.group_size, replace=False)
     receivers = [int(r) for r in receivers]
 
-    from repro.traffic.spec import active_sessions
-
     plan = active_sessions(cfg)
+    members = None
     if plan is None:
         net.set_group_members(cfg.group, receivers)
     else:
         # extra sessions draw from identity-keyed streams, leaving the
-        # legacy "receivers" stream (consumed above) untouched.  The
-        # legacy draw's *membership* is only installed when a session
-        # actually reuses it — otherwise a plan session on cfg.group
-        # would see the union of both draws
+        # legacy "receivers" stream (consumed above) untouched
         from repro.traffic.engine import install_session_members
 
-        if any(
-            s.receivers is None
-            and s.source == cfg.source
-            and s.group == cfg.group
-            and s.group_size == cfg.group_size
-            for s in plan
-        ):
-            net.set_group_members(cfg.group, receivers)
-        install_session_members(cfg, sim, net, plan, legacy_receivers=receivers)
+        members = install_session_members(
+            cfg, sim, net, plan, legacy_receivers=receivers
+        )
+    return ForkedPrefix(sim, net, receivers, positions), members
 
+
+def build_prefix(
+    cfg: "SimulationConfig",
+    trace: Optional[TraceRecorder] = None,
+    attach=None,
+    obs=None,
+) -> ForkedPrefix:
+    """Build a deployment up to the snapshot boundary (cold path).
+
+    :func:`build_deployment`, then neighbor discovery: either the
+    simulated HELLO warmup (``cfg.hello_phase``, HELLO agents started)
+    or the static bootstrap fixed point.  Protocol agents are *not*
+    installed; their ``start()`` is a no-op and they handle no HELLO
+    traffic, so installing them after the boundary is trace-identical to
+    the historical single-pass build.
+
+    ``attach`` is :func:`build_deployment`'s hook.  ``obs`` — an
+    already-constructed :class:`repro.obs.Observer` — additionally
+    brackets the build and HELLO warmup in phase spans; its ``attach``
+    must be wired through the ``attach`` hook by the caller.
+    """
+    hook = attach
+    if obs is not None:
+        def hook(sim):
+            if attach is not None:
+                attach(sim)
+            obs.spans.begin("prefix-build", sim, topology=cfg.topology, seed=cfg.seed)
+    prefix, _members = build_deployment(cfg, trace=trace, attach=hook)
+    sim, net = prefix.sim, prefix.net
     geographic = cfg.protocol == "gmr"
     if obs is not None:
         obs.spans.end(sim)  # prefix-build
     if cfg.hello_phase:
         net.install_hello(period=cfg.hello_period, share_position=geographic)
-        # start only the HELLO agents (all that exist before the boundary);
-        # protocol agents are started individually by the suffix
-        for node in net.nodes:
-            node.start_agents()
+        # starts only the HELLO agents (all that exist before the
+        # boundary); protocol agents are started by the caller
+        net.start()
         if obs is not None:
             with obs.spans.span("hello-warmup", sim):
                 sim.run(until=cfg.hello_warmup)
@@ -271,7 +288,7 @@ def build_prefix(
             sim.run(until=cfg.hello_warmup)
     else:
         net.bootstrap_neighbor_tables(with_positions=geographic)
-    return ForkedPrefix(sim, net, receivers, positions)
+    return prefix
 
 
 #: bit-generator classes :func:`_rebuild_generator` can reconstruct.

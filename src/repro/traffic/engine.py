@@ -54,10 +54,9 @@ def install_session_members(
             and spec.group == cfg.group
             and spec.group_size == cfg.group_size
         ):
-            # membership for cfg.group was already installed by the
-            # legacy draw; just record it
-            members[spec.flow] = list(legacy_receivers)
-            continue
+            # the legacy draw's membership lands only here: a plan that
+            # never reuses it must not see it unioned into cfg.group
+            recv = list(legacy_receivers)
         else:
             rng = sim.rng.stream("receivers", spec.source, spec.group)
             candidates = np.arange(0, cfg.n_nodes)

@@ -38,3 +38,22 @@ def test_saturation_degrades_delivery():
     high = load_sweep(rates_pps=(100.0,), runs=3, n_packets=8)[100.0]
     assert high["delivery_ratio"] < low["delivery_ratio"]
     assert low["delivery_ratio"] >= 0.97
+
+
+def test_run_cbr_applies_the_loss_model(monkeypatch):
+    """``cfg.loss_model`` reaches the CBR channel: frames are lost."""
+    import repro.sim.snapshot as snapshot
+
+    built = []
+    build = snapshot.build_prefix
+
+    def spy(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(snapshot, "build_prefix", spy)
+    cfg = SimulationConfig(protocol="mtmrp", topology="grid", group_size=10,
+                           mac="ideal", loss_model="iid", loss_rate=0.2, seed=3)
+    run_cbr(cfg, 5.0, n_packets=4)
+    assert len(built) == 1
+    assert built[0].net.channel.frames_lost > 0

@@ -552,6 +552,33 @@ class TestNoCycles:
         for path, run in runs.items():
             assert _unreachable(run) == [], path
 
+    @pytest.mark.parametrize("driver", ["chaos", "fault", "cbr", "scaling"])
+    def test_driver_leaves_no_cyclic_garbage(self, driver):
+        """The campaign drivers close their deployments too."""
+        from repro.experiments.chaos import DEFAULT_POLICY, run_chaos_single
+        from repro.experiments.faults import run_fault_single
+        from repro.experiments.load import run_cbr
+        from repro.experiments.scaling import run_scaling_point
+
+        soak = SimulationConfig(
+            protocol="mtmrp", topology="grid", grid_nx=5, grid_ny=5, side=120.0,
+            group_size=6, mac="ideal", hello_phase=True, seed=7,
+        )
+        cfg = SimulationConfig(protocol="mtmrp", group_size=10, seed=7)
+        run = {
+            "chaos": lambda: run_chaos_single(
+                soak, policy=DEFAULT_POLICY, check=True, n_packets=20,
+                rate_pps=10.0, refresh_interval=5.0, n_cycles=1,
+            ),
+            "fault": lambda: run_fault_single(
+                cfg, n_packets=10, crash_forwarder_at=0.55
+            ),
+            "cbr": lambda: run_cbr(cfg, 10.0, n_packets=5),
+            "scaling": lambda: run_scaling_point(cfg),
+        }[driver]
+        run()  # first-use imports and caches stay out
+        assert _unreachable(run) == []
+
     def test_neighbor_marks_stay_on_their_entry(self):
         """Unmarked entries share one empty frozenset; a mark gives its
         entry a private set and never shows on another entry, in a cold

@@ -69,3 +69,26 @@ def test_heavy_fading_prunes_some_nominal_links():
     clean = link_count(0)
     faded = link_count(6.0)
     assert faded != clean  # fading reshapes the neighborhood
+
+
+def test_fault_and_chaos_runs_see_shadowing():
+    """The fault and chaos drivers build the same deployment as
+    ``run_single``: a 6 dB fading config changes what they simulate."""
+    from repro.experiments.chaos import run_chaos_single
+    from repro.experiments.faults import run_fault_single
+
+    fault = SimulationConfig(protocol="mtmrp", group_size=20, mac="ideal", seed=3)
+    kw = dict(n_packets=10, crash_forwarder_at=0.55)
+    assert (
+        run_fault_single(fault, **kw).trace_sha256
+        != run_fault_single(fault.with_(shadowing_sigma_db=6.0), **kw).trace_sha256
+    )
+    chaos = SimulationConfig(
+        protocol="mtmrp", topology="grid", grid_nx=5, grid_ny=5, side=120.0,
+        group_size=6, mac="ideal", hello_phase=True, seed=90210,
+    )
+    kw = dict(n_packets=20, rate_pps=10.0, refresh_interval=5.0, n_cycles=1)
+    assert (
+        run_chaos_single(chaos, **kw).trace_sha256
+        != run_chaos_single(chaos.with_(shadowing_sigma_db=6.0), **kw).trace_sha256
+    )
