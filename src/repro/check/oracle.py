@@ -21,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.experiments.config import SimulationConfig, make_positions
+from repro.experiments.config import SimulationConfig
 from repro.experiments.runner import run_single
-from repro.sim.rng import RngRegistry
 
 __all__ = [
     "OracleResult",
@@ -73,9 +72,9 @@ def small_instance_oracle(
 ) -> OracleResult:
     """Run ``protocol`` on a tiny random deployment and grade it exactly.
 
-    The deployment and receiver set are re-derived from the seed with
-    the same named rng streams the runner uses, so the graph handed to
-    the brute-force search is exactly the one the packets traversed.
+    The deployment positions and receiver set come from the run itself,
+    so the graph handed to the brute-force search is exactly the one the
+    packets traversed.
     """
     if n_nodes > ORACLE_MAX_NODES:
         raise ValueError(
@@ -94,10 +93,8 @@ def small_instance_oracle(
         side=side,
         mac=mac,
     )
-    res = run_single(cfg, cache=False)
-    registry = RngRegistry(seed)
-    positions = make_positions(cfg, registry.stream("topology"))
-    g = connectivity_graph(positions, cfg.comm_range)
+    res = run_single(cfg, cache=False, keep_positions=True)
+    g = connectivity_graph(res.positions, cfg.comm_range)
     optimum = brute_force_min_transmitters(g, cfg.source, res.receivers)
     return OracleResult(
         seed=seed,

@@ -16,6 +16,7 @@ record, e.g. ``python -m repro.experiments fig5 --runs 100 > fig5.txt``.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -158,10 +159,18 @@ def _run_faults(args) -> None:
         print(f"\n-- {label} --")
         print(header)
         for proto, v in out.items():
+            # recovery statistics are NaN when too few replicates
+            # recovered: print the sample count instead of a bare nan
+            mean = _stat_cell(v["recovery_latency"], "n=0")
+            p95 = _stat_cell(v["recovery_p95"], "n<2")
             print(f"{proto:>10} {v['delivery_ratio']:>9.3f} "
                   f"{v['pre_fault_delivery']:>7.3f} {v['post_fault_delivery']:>7.3f} "
-                  f"{v['recovery_latency']:>12.3f} {v['recovery_p95']:>8.3f} "
+                  f"{mean:>12} {p95:>8} "
                   f"{v['recovered_runs']:>10.0%}")
+
+
+def _stat_cell(value: float, undefined: str) -> str:
+    return undefined if math.isnan(value) else f"{value:.3f}"
 
 
 def _run_bench(args) -> None:

@@ -93,10 +93,12 @@ class SimulationConfig:
     keep_rx_records: bool = False
 
     #: concurrent multicast sessions (see :mod:`repro.traffic`).  None
-    #: (default) — and a trivially default single-session plan — run the
-    #: legacy single-session path byte-identically; anything else drives
-    #: the generic scheduled traffic engine.  Accepts SessionSpec tuples,
-    #: a TrafficPlan, or dict payloads (JSON round-trips).
+    #: (default) runs the config's own one-session plan
+    #: (``TrafficPlan.single``), as does a plan equal to it; every
+    #: on-demand run goes through the scheduled traffic engine and its
+    #: results (multi-session ones included) are cached.  Accepts
+    #: SessionSpec tuples, a TrafficPlan, or dict payloads (JSON
+    #: round-trips).
     sessions: Optional[Tuple["SessionSpec", ...]] = None
 
     def __post_init__(self) -> None:

@@ -38,7 +38,7 @@ import threading
 import traceback as _traceback
 import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -59,6 +59,9 @@ from repro.sim.snapshot import (
     warm_profitable,
 )
 from repro.sim.trace import TraceKind, TraceRecorder
+from repro.traffic.engine import schedule_sessions, session_members
+from repro.traffic.metrics import TrafficMetrics
+from repro.traffic.spec import TrafficPlan, active_sessions
 
 __all__ = [
     "RunResult",
@@ -80,7 +83,8 @@ __all__ = [
 #: unreachable because the version participates in :func:`config_hash`.
 #: v2: the config grew a ``sessions`` field (multi-session traffic
 #: plans), changing the hashed payload shape for every config.
-CACHE_VERSION = 2
+#: v3: entries carry the ``traffic`` view (every on-demand run has one).
+CACHE_VERSION = 3
 
 #: Environment variable naming the default run-result cache directory.
 #: Unset (the default) disables caching entirely.
@@ -121,9 +125,9 @@ class RunResult:
     receivers: Tuple[int, ...] = ()
     positions: Optional[np.ndarray] = None
 
-    #: multi-session runs: the per-session + aggregate traffic view
-    #: (:class:`repro.traffic.metrics.TrafficMetrics`); None on legacy
-    #: single-session runs
+    #: the per-session + aggregate traffic view
+    #: (:class:`repro.traffic.metrics.TrafficMetrics`); None only on
+    #: single-session flooding and GMR runs
     traffic: Optional[object] = None
 
 
@@ -146,9 +150,9 @@ def _default_cache_dir() -> Optional[Path]:
     return Path(path) if path else None
 
 
-#: keys a cache entry may carry (``_cache_store`` drops the two
-#: non-flat fields) and the ones it must carry
-_CACHE_KEYS = frozenset(f.name for f in fields(RunResult)) - {"positions", "traffic"}
+#: keys a cache entry may carry (``_cache_store`` drops the positions)
+#: and the ones it must carry
+_CACHE_KEYS = frozenset(f.name for f in fields(RunResult)) - {"positions"}
 _CACHE_REQUIRED = frozenset(
     f.name for f in fields(RunResult) if f.default is MISSING and f.default_factory is MISSING
 )
@@ -158,10 +162,10 @@ def _cache_load(path: Path) -> Optional[RunResult]:
     """The cached result at ``path``, or None on a miss.
 
     A missing or unreadable file is a plain miss.  An entry that is not a
-    stored result (undecodable, or JSON of the wrong shape) is renamed
-    aside to ``<name>.corrupt`` and counted as ``store_corrupt``: the run
-    recomputes, the bad bytes stay for inspection, and the next read is
-    an ordinary, uncounted miss.
+    stored result (undecodable, JSON of the wrong shape, or a malformed
+    ``traffic`` view) is renamed aside to ``<name>.corrupt`` and counted
+    as ``store_corrupt``: the run recomputes, the bad bytes stay for
+    inspection, and the next read is an ordinary, uncounted miss.
     """
     try:
         payload = json.loads(path.read_text())
@@ -169,18 +173,25 @@ def _cache_load(path: Path) -> Optional[RunResult]:
         return None
     except ValueError:  # undecodable bytes or JSON
         payload = None
-    if (
-        not isinstance(payload, dict)
-        or not _CACHE_REQUIRED <= payload.keys() <= _CACHE_KEYS
-        or not all(
-            isinstance(payload.get(k, []), list) for k in ("transmitters", "receivers")
-        )
-    ):
+    try:
+        if (
+            not isinstance(payload, dict)
+            or not _CACHE_REQUIRED <= payload.keys() <= _CACHE_KEYS
+            or not all(
+                isinstance(payload.get(k, []), list) for k in ("transmitters", "receivers")
+            )
+        ):
+            raise ValueError("not a stored run result")
+        traffic = payload.get("traffic")
+        if traffic is not None:
+            traffic = TrafficMetrics.from_dict(traffic)
+    except (TypeError, KeyError, ValueError):
         _quarantine(path)
         return None
     payload["transmitters"] = tuple(payload.get("transmitters", ()))
     payload["receivers"] = tuple(payload.get("receivers", ()))
     payload["positions"] = None
+    payload["traffic"] = traffic
     return RunResult(**payload)
 
 
@@ -198,7 +209,6 @@ def _quarantine(path: Path) -> None:
 def _cache_store(path: Path, result: RunResult) -> None:
     payload = asdict(result)
     payload.pop("positions", None)
-    payload.pop("traffic", None)  # multi-session runs are never cached
     path.parent.mkdir(parents=True, exist_ok=True)
     # default=float folds numpy scalars; write-then-rename keeps readers
     # of a shared cache from seeing half a file.  The temp name is private
@@ -265,17 +275,12 @@ def run_single(
         cache_dir = _default_cache_dir()
     else:
         cache_dir = Path(cache)
-    from repro.traffic.spec import active_sessions
-
     cacheable = (
         cache_dir is not None
         and not keep_positions
         and trace is None
         and check is None
         and obs is None
-        # multi-session results carry a structured TrafficMetrics payload
-        # the flat JSON cache cannot round-trip
-        and active_sessions(cfg) is None
     )
     if cacheable:
         cache_path = cache_dir / f"{config_hash(cfg)}.json"
@@ -410,109 +415,80 @@ def _run_suffix(
     (when present) were already started by the prefix, so only the newly
     installed protocol agents are started here — their ``start()`` is a
     no-op, making this identical to the historical ``net.start()`` pass.
+
+    A run takes one of two shapes.  Every on-demand run — and every run
+    with a multi-session plan — is a :class:`~repro.traffic.spec.TrafficPlan`
+    scheduled by the traffic engine (``sessions=None`` is the one-session
+    :meth:`~repro.traffic.spec.TrafficPlan.single` plan).  A single-session
+    flooding or GMR run sends its one packet directly at the traffic
+    epoch: the engine would start it after the settle window, which moves
+    those protocols' traces.
     """
     from repro.metrics.collect import collect_metrics
-    from repro.traffic.spec import active_sessions
 
     agents = net.install(make_agent_factory(cfg))
     for agent in agents:
         agent.start()
-    geographic = cfg.protocol == "gmr"
     plan = active_sessions(cfg)
-    members = traffic = None
-    if plan is not None:
-        from repro.traffic.engine import session_members
-
-        members = session_members(net, plan)
+    direct = plan is None and cfg.protocol in ("flooding", "gmr")
+    plan = plan or TrafficPlan.single(cfg)
+    members = session_members(net, plan)
 
     if check is not None:
-        if plan is not None:
-            check.bind_network(
-                net, agents, cfg.source, cfg.group, receivers, sessions=members
-            )
-        else:
-            check.bind_network(net, agents, cfg.source, cfg.group, receivers)
+        # direct runs keep the harness's physical-transmitter feasibility
+        # check: flooding and GMR agents keep no per-session accounting
+        check.bind_network(
+            net, agents, cfg.source, cfg.group, receivers,
+            sessions=None if direct else members,
+        )
     if obs is not None:
-        if members is not None:
-            # sampler delivery_ratio tracks every session's receivers;
-            # per-flow columns split the same series by SessionSpec.key()
-            obs.bind_network(
-                net,
-                sorted({m for ms in members.values() for m in ms}),
-                sessions={spec: members[spec.flow] for spec in plan},
-            )
-        else:
-            obs.bind_network(net, receivers)
+        # sampler delivery_ratio tracks every session's receivers;
+        # per-flow columns split the same series by SessionSpec.key()
+        obs.bind_network(
+            net,
+            sorted({m for ms in members.values() for m in ms}),
+            sessions={spec: members[spec.flow] for spec in plan},
+        )
 
-    source_agent = agents[cfg.source]
     t0 = sim.now
     settle = cfg.effective_construction_time
-    if plan is not None:
-        from repro.traffic.engine import schedule_sessions
-
-        if obs is not None:
-            obs.spans.begin("route-discovery", sim, protocol=cfg.protocol)
+    if direct:
+        source_agent = agents[cfg.source]
+        if cfg.protocol == "flooding":
+            source_agent.originate(cfg.group, 0)
+        else:
+            # stateless: no construction phase; the packet carries the
+            # destination positions (the GMR assumption set)
+            source_agent.multicast(
+                cfg.group, {d: net.node(d).position for d in receivers}, seq=0
+            )
+        phases = [("data-delivery", t0 + settle + cfg.data_time, None)]
+    else:
         horizon = schedule_sessions(cfg, sim, net, agents, plan, members, t0=t0)
         first_data = t0 + min(s.start for s in plan) + settle
-        sim.run(until=first_data)
+        phases = [
+            ("route-discovery", first_data, "route-discovery"),
+            ("data-delivery", horizon, None),
+        ]
+    # (span, run until, checkpoint after) per phase, bracketed once
+    for span, until, checkpoint in phases:
+        if obs is not None:
+            obs.spans.begin(span, sim, protocol=cfg.protocol)
+        sim.run(until=until)
         if obs is not None:
             obs.spans.end(sim)
-        if check is not None:
-            check.checkpoint("route-discovery")
-        if obs is not None:
-            obs.spans.begin("data-delivery", sim, protocol=cfg.protocol)
-        sim.run(until=horizon)
-        if obs is not None:
-            obs.spans.end(sim)
-    elif cfg.protocol == "flooding":
-        if obs is not None:
-            obs.spans.begin("data-delivery", sim, protocol=cfg.protocol)
-        source_agent.originate(cfg.group, 0)
-        sim.run(until=t0 + settle + cfg.data_time)
-        if obs is not None:
-            obs.spans.end(sim)
-    elif geographic:
-        # stateless: no construction phase; the packet carries the
-        # destination positions (the GMR assumption set)
-        if obs is not None:
-            obs.spans.begin("data-delivery", sim, protocol=cfg.protocol)
-        source_agent.multicast(
-            cfg.group, {d: net.node(d).position for d in receivers}, seq=0
-        )
-        sim.run(until=t0 + settle + cfg.data_time)
-        if obs is not None:
-            obs.spans.end(sim)
-    else:
-        if obs is not None:
-            obs.spans.begin("route-discovery", sim, protocol=cfg.protocol)
-        source_agent.request_route(cfg.group)
-        sim.run(until=t0 + settle)
-        if obs is not None:
-            obs.spans.end(sim)
-        if check is not None:
-            check.checkpoint("route-discovery")
-        if obs is not None:
-            obs.spans.begin("data-delivery", sim, protocol=cfg.protocol)
-        source_agent.send_data(cfg.group, 0)
-        sim.run(until=t0 + settle + cfg.data_time)
-        if obs is not None:
-            obs.spans.end(sim)
-
+        if check is not None and checkpoint is not None:
+            check.checkpoint(checkpoint)
     if check is not None:
         check.checkpoint("end-of-run")
     if obs is not None:
         obs.finish()
 
-    if plan is not None:
-        m, traffic = _traffic_run_metrics(
-            net, agents, cfg, plan, members, horizon - t0
-        )
-    elif cfg.protocol == "flooding":
-        m = _treeless_metrics(net, cfg, receivers, "DataPacket")
-    elif geographic:
-        m = _treeless_metrics(net, cfg, receivers, "GeoDataPacket")
+    if direct:
+        data_type = "DataPacket" if cfg.protocol == "flooding" else "GeoDataPacket"
+        m, traffic = _treeless_metrics(net, cfg, receivers, data_type), None
     else:
-        m = collect_metrics(net, agents, cfg.source, cfg.group, receivers)
+        m, traffic = collect_metrics(net, agents, plan, members, horizon - t0)
     result = RunResult(
         protocol=cfg.protocol,
         topology=cfg.topology,
@@ -544,72 +520,6 @@ def _run_suffix(
         # break its cycles so refcounting frees it as the call returns
         net.close()
     return result
-
-
-def _traffic_run_metrics(net, agents, cfg: SimulationConfig, plan, members, horizon):
-    """Multi-session metrics: the aggregate MulticastMetrics view plus the
-    per-session :class:`~repro.traffic.metrics.TrafficMetrics` payload.
-
-    Aggregate fields fold every session together — ``delivered`` sums
-    per-session delivered receivers, ``delivery_ratio`` is the mean
-    per-session ratio (Jain-weighted fairness lives on the traffic
-    payload) and ``data_transmissions`` counts every data-plane frame of
-    every session.
-    """
-    from repro.metrics.collect import MulticastMetrics, average_relay_profit
-    from repro.traffic.metrics import _DATA_TYPES, collect_traffic_metrics
-
-    traffic = collect_traffic_metrics(net, agents, plan, members, horizon)
-    trace = net.sim.trace
-    transmitters: set = set()
-    for pt in _DATA_TYPES:
-        transmitters |= trace.nodes_with(TraceKind.TX, pt)
-    sources = {spec.source for spec in plan}
-    all_receivers = set()
-    for recv in members.values():
-        all_receivers |= set(recv)
-
-    stateful = any(getattr(a, "sessions", None) for a in agents)
-    if stateful:
-        covered = 0
-        for spec in plan:
-            for r in members[spec.flow]:
-                sess = getattr(agents[r], "sessions", None)
-                st = sess.get(spec.flow) if sess else None
-                if st is not None and st.covered:
-                    covered += 1
-    else:
-        covered = sum(s.delivered for s in traffic.sessions)
-
-    first_jq = next(trace.filter(TraceKind.TX, "JoinQuery"), None)
-    t_start = first_jq.time if first_jq is not None else None
-    t_covered = None
-    for rec in trace.filter(TraceKind.MARK, "Covered"):
-        if rec.node in all_receivers:
-            t_covered = rec.time
-    latency = (
-        (t_covered - t_start)
-        if (t_start is not None and t_covered is not None)
-        else 0.0
-    )
-    m = MulticastMetrics(
-        data_transmissions=traffic.aggregate_data_tx,
-        tree_transmissions=sum(1 + len(s.forwarders) for s in traffic.sessions),
-        extra_nodes=len(transmitters - sources - all_receivers),
-        average_relay_profit=average_relay_profit(net, transmitters, all_receivers),
-        delivered=sum(s.delivered for s in traffic.sessions),
-        delivery_ratio=traffic.aggregate_delivery_ratio,
-        covered_receivers=covered,
-        join_query_tx=trace.count(TraceKind.TX, "JoinQuery"),
-        join_reply_tx=trace.count(TraceKind.TX, "JoinReply"),
-        hello_tx=trace.count(TraceKind.TX, "HelloPacket"),
-        collisions=net.channel.frames_collided,
-        energy_joules=net.energy_summary()["total_joules"],
-        frames_lost=net.channel.frames_lost,
-        construction_latency=latency,
-        transmitters=transmitters,
-    )
-    return m, traffic
 
 
 def _treeless_metrics(net, cfg: SimulationConfig, receivers: Sequence[int], data_type: str):

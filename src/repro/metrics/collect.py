@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence, Set
+from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.sim.trace import TraceKind, TraceRecorder
+from repro.traffic.metrics import _DATA_TYPES, collect_traffic_metrics
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.network import Network
     from repro.protocols.base import OnDemandMulticastAgent
+    from repro.traffic.metrics import TrafficMetrics
+    from repro.traffic.spec import SessionSpec
 
 __all__ = [
     "MulticastMetrics",
@@ -22,7 +25,7 @@ __all__ = [
 
 @dataclass
 class MulticastMetrics:
-    """All per-run measurements for one multicast session."""
+    """All per-run measurements, folded over the run's sessions."""
 
     #: transmissions of the measured data packet (paper's primary metric)
     data_transmissions: int
@@ -95,25 +98,43 @@ def average_relay_profit(
 def collect_metrics(
     network: "Network",
     agents: Sequence["OnDemandMulticastAgent"],
-    source: int,
-    group: int,
-    receivers: Sequence[int],
-) -> MulticastMetrics:
-    """Assemble all metrics after the data phase has quiesced."""
-    trace = network.sim.trace
-    transmitters = data_transmitters(trace)
-    r = set(receivers)
+    plan: Sequence["SessionSpec"],
+    members: Dict[Tuple[int, int], List[int]],
+    horizon: float,
+) -> Tuple[MulticastMetrics, "TrafficMetrics"]:
+    """Assemble all metrics after the data phase has quiesced.
 
-    forwarders = {
-        a.node_id
-        for a in agents
-        if any(st.is_forwarder for st in a.sessions.values())
-    }
-    covered = sum(
-        1
-        for a in agents
-        if a.node_id in r and any(st.covered for st in a.sessions.values())
-    )
+    Returns the aggregate :class:`MulticastMetrics` view and the
+    per-session :class:`~repro.traffic.metrics.TrafficMetrics` it folds
+    together.  ``members`` maps each flow to its installed receivers and
+    ``horizon`` is the traffic duration (goodput normalisation).  Over
+    several sessions ``delivered`` sums per-session delivered receivers,
+    ``delivery_ratio`` is the mean per-session ratio (Jain-weighted
+    fairness lives on the traffic view) and ``data_transmissions`` counts
+    every data-plane frame of every session; over one session each is
+    the plain single-session measurement.
+    """
+    traffic = collect_traffic_metrics(network, agents, plan, members, horizon)
+    trace = network.sim.trace
+    transmitters: Set[int] = set()
+    for pt in _DATA_TYPES:
+        transmitters |= trace.nodes_with(TraceKind.TX, pt)
+    sources = {spec.source for spec in plan}
+    receivers: Set[int] = set()
+    for recv in members.values():
+        receivers |= set(recv)
+
+    if any(getattr(a, "sessions", None) for a in agents):
+        covered = 0
+        for spec in plan:
+            for r in members[spec.flow]:
+                sess = getattr(agents[r], "sessions", None)
+                st = sess.get(spec.flow) if sess else None
+                if st is not None and st.covered:
+                    covered += 1
+    else:
+        covered = sum(s.delivered for s in traffic.sessions)
+
     # construction latency: first JoinQuery TX -> last coverage mark.
     # Both lookups ride the recorder's (kind, packet_type) indexes instead
     # of scanning the full record list.
@@ -121,25 +142,24 @@ def collect_metrics(
     t_start = first_jq.time if first_jq is not None else None
     t_covered = None
     for rec in trace.filter(TraceKind.MARK, "Covered"):
-        if rec.node in r:
+        if rec.node in receivers:
             t_covered = rec.time
     latency = (t_covered - t_start) if (t_start is not None and t_covered is not None) else 0.0
-    delivered = len(trace.nodes_with(TraceKind.DELIVER) & r)
-    energy = network.energy_summary()["total_joules"]
-    return MulticastMetrics(
-        data_transmissions=trace.count(TraceKind.TX, "DataPacket"),
-        tree_transmissions=1 + len(forwarders - {source}),
-        extra_nodes=extra_nodes(transmitters, source, r),
-        average_relay_profit=average_relay_profit(network, transmitters, r),
-        delivered=delivered,
-        delivery_ratio=delivered / len(r) if r else 1.0,
+    m = MulticastMetrics(
+        data_transmissions=traffic.aggregate_data_tx,
+        tree_transmissions=sum(1 + len(s.forwarders) for s in traffic.sessions),
+        extra_nodes=len(transmitters - sources - receivers),
+        average_relay_profit=average_relay_profit(network, transmitters, receivers),
+        delivered=sum(s.delivered for s in traffic.sessions),
+        delivery_ratio=traffic.aggregate_delivery_ratio,
         covered_receivers=covered,
         join_query_tx=trace.count(TraceKind.TX, "JoinQuery"),
         join_reply_tx=trace.count(TraceKind.TX, "JoinReply"),
         hello_tx=trace.count(TraceKind.TX, "HelloPacket"),
         collisions=network.channel.frames_collided,
-        energy_joules=energy,
+        energy_joules=network.energy_summary()["total_joules"],
         frames_lost=network.channel.frames_lost,
         construction_latency=latency,
         transmitters=transmitters,
     )
+    return m, traffic

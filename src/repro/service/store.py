@@ -20,10 +20,11 @@ so concurrent readers of one entry — and concurrent writer/reader pairs
 across service processes — never observe a torn file.  Eviction is LRU
 over a bounded entry count, tracked in-process and seeded from file
 mtimes at startup; ``get`` touches the file so recency survives process
-restarts.  Only flat metric results are storeable: runs carrying
-positions or a structured multi-session traffic payload report
-``put(...) == False`` and are recomputed per campaign (in-flight
-coalescing still dedupes concurrent identical submissions).
+restarts.  Every metric result is storeable, its per-session traffic
+view included, so multi-session campaigns are served from disk too; only
+runs carrying deployment positions report ``put(...) == False`` and are
+recomputed per campaign (in-flight coalescing still dedupes concurrent
+identical submissions).
 """
 
 from __future__ import annotations
@@ -80,8 +81,8 @@ class ResultStore:
 
     @staticmethod
     def storeable(result: RunResult) -> bool:
-        """Flat metric results only — mirrors the runner cache's gate."""
-        return result.traffic is None and result.positions is None
+        """Results without positions — mirrors the runner cache's gate."""
+        return result.positions is None
 
     # ------------------------------------------------------------------ #
     # access
@@ -106,7 +107,7 @@ class ResultStore:
 
     def put(self, cfg: SimulationConfig, result: RunResult) -> bool:
         """Persist ``result`` under ``cfg``'s content hash; False if the
-        result carries non-flat payloads the JSON format cannot hold."""
+        result carries deployment positions the store does not keep."""
         if not self.storeable(result):
             return False
         path = self.path_for(cfg)

@@ -100,6 +100,18 @@ class TrafficMetrics:
     #: aggregate_delivery_ratio < SATURATION_THRESHOLD
     saturated: bool
 
+    @classmethod
+    def from_dict(cls, d: Dict) -> "TrafficMetrics":
+        """Rebuild from :func:`dataclasses.asdict` output after a JSON round
+        trip (the run-result cache); a payload of another shape raises
+        TypeError, KeyError or ValueError."""
+        sessions = []
+        for s in d["sessions"]:
+            if not isinstance(s["forwarders"], (list, tuple)):
+                raise ValueError(f"forwarders must be a list, got {s['forwarders']!r}")
+            sessions.append(SessionMetrics(**{**s, "forwarders": tuple(s["forwarders"])}))
+        return cls(**{**d, "sessions": tuple(sessions)})
+
 
 def jain_fairness(values: Sequence[float]) -> float:
     """Jain's fairness index; 1.0 for empty/uniform inputs."""

@@ -8,15 +8,18 @@ many simultaneous trees contending for one channel, with cross-session
 forwarder reuse amortising the per-node cost (MEGCOM's group-communication
 setting).
 
-Flag-off contract
------------------
-``SimulationConfig.sessions is None`` — and a *trivially default* plan
-(exactly one session matching the config's own ``source``/``group``/
-``group_size``, starting at 0 with one packet) — route through the exact
-legacy single-session code paths in ``build_prefix``/``_run_suffix``,
-byte-identical to historical runs (pinned by the golden digests and the
-flag-off guards in ``tests/integration/test_golden_digest.py``).  The
-generic scheduled engine only runs for plans that actually need it.
+One run pipeline
+----------------
+Every on-demand run is a plan.  ``SimulationConfig.sessions is None`` —
+and a *trivially default* plan (exactly one session matching the
+config's own ``source``/``group``/``group_size``, starting at 0 with one
+packet) — runs as :meth:`TrafficPlan.single` through the same scheduled
+engine and metric function as any multi-session plan, byte-identical to
+historical single-session runs (pinned by the golden digests and the
+default-plan guards in ``tests/integration/test_golden_digest.py``).
+Only single-session flooding and GMR runs keep a direct send at the
+traffic epoch.  Results of every plan carry a ``TrafficMetrics`` view,
+which the run-result cache stores.
 
 Receiver draws are per-session rng streams keyed by the session identity
 (``("receivers", source, group)``), *not* by position in the plan, so a
@@ -131,7 +134,7 @@ class TrafficPlan:
 
     @classmethod
     def single(cls, cfg) -> "TrafficPlan":
-        """The trivially-default plan equivalent to today's ``cfg`` run."""
+        """The one-session plan a ``sessions=None`` config runs as."""
         return cls(
             sessions=(
                 SessionSpec(
@@ -141,7 +144,7 @@ class TrafficPlan:
         )
 
     def is_default_single(self, cfg) -> bool:
-        """One session, byte-identical to the legacy single-session run."""
+        """One session, the same run as ``sessions=None``."""
         return len(self.sessions) == 1 and self.sessions[0].is_default_for(cfg)
 
     def key(self) -> tuple:
@@ -201,12 +204,12 @@ def ramp_plan(
 
 
 def active_sessions(cfg) -> Optional[Tuple[SessionSpec, ...]]:
-    """The session tuple requiring the generic engine, or None.
+    """The configured multi-session tuple, or None.
 
-    None means the run takes the legacy single-session path — either no
-    ``sessions`` were configured, or the plan is the trivially default
-    single session whose byte-identity to historical runs is guaranteed
-    by construction (same code, same rng stream, same event order).
+    None means a single-session run — either no ``sessions`` were
+    configured, or the plan is the trivially default single session.
+    Both build the legacy deployment (same rng stream, same membership)
+    and run as :meth:`TrafficPlan.single`.
     """
     specs = getattr(cfg, "sessions", None)
     if specs is None:

@@ -9,9 +9,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.mac.ideal import IdealMac
+from repro.metrics.collect import collect_metrics
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceKind
+from repro.traffic.spec import SessionSpec, TrafficPlan
 
 
 def build(positions, comm_range, receivers, agent_factory, seed=1, group=1):
@@ -32,6 +34,12 @@ def run_round(sim, agents, group=1, source=0, settle=2.0, data_time=1.0, seq=0):
     sim.run(until=sim.now + settle)
     agents[source].send_data(group, seq)
     sim.run(until=sim.now + data_time)
+
+
+def collect_round(net, agents, receivers, group=1, source=0, horizon=3.0):
+    """``collect_metrics`` over the one-session plan :func:`run_round` drives."""
+    plan = TrafficPlan((SessionSpec(source=source, group=group, receivers=receivers),))
+    return collect_metrics(net, agents, plan, {(source, group): list(receivers)}, horizon)
 
 
 def forwarders_of(agents, source=0, group=1):

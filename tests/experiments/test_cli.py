@@ -126,3 +126,27 @@ class TestBenchGate:
         # headline fields only — raw baselines live in BENCH_core.json
         assert entry == {"wall_s": 0.1, "ops_per_s": 10.0, "speedup": 2.0}
         assert all("ts" in r for r in rows)
+
+
+def test_faults_prints_sample_counts_not_nan(capsys, monkeypatch):
+    """A recovery cell with too few recovered replicates shows its count."""
+    from repro.experiments import faults
+
+    nan = float("nan")
+    row = dict(delivery_ratio=0.9, pre_fault_delivery=1.0, post_fault_delivery=0.8)
+    canned = {
+        "mtmrp": dict(row, recovery_latency=0.4, recovery_p95=0.6, recovered_runs=1.0),
+        "odmrp": dict(row, recovery_latency=0.5, recovery_p95=nan, recovered_runs=1 / 3),
+        "dodmrp": dict(row, recovery_latency=nan, recovery_p95=nan, recovered_runs=0.0),
+    }
+    monkeypatch.setattr(faults, "fault_sweep", lambda **kw: canned)
+    assert main(["faults", "--runs", "15"]) == 0
+    out = capsys.readouterr().out
+    assert "nan" not in out
+    mtmrp, odmrp, dodmrp = (
+        next(line.split() for line in out.splitlines() if line.split()[:1] == [p])
+        for p in ("mtmrp", "odmrp", "dodmrp")
+    )
+    assert mtmrp[4:6] == ["0.400", "0.600"]
+    assert odmrp[4:6] == ["0.500", "n<2"]
+    assert dodmrp[4:6] == ["n=0", "n<2"]

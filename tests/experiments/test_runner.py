@@ -165,6 +165,58 @@ class TestResultCache:
         assert _cache_load(path) is None
         assert STATS.get("store_corrupt") == before + 1
 
+    def test_multi_session_result_is_a_cache_hit(self, tmp_path, monkeypatch):
+        import repro.experiments.runner as runner_mod
+        from repro.traffic.spec import ramp_plan
+
+        base = SimulationConfig(protocol="mtmrp", seed=6, **FAST)
+        cfg = base.with_(sessions=ramp_plan(base, 2))
+        cold = run_single(cfg, cache=tmp_path)
+        assert len(cold.traffic.sessions) == 2
+
+        def boom(*a, **k):  # the second run must come from disk
+            raise AssertionError("cache miss: _execute_run was called")
+
+        monkeypatch.setattr(runner_mod, "_execute_run", boom)
+        hit = run_single(cfg, cache=tmp_path)
+        assert hit == cold
+        assert hit.traffic == cold.traffic
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda t: "text",
+            lambda t: [],
+            lambda t: {**t, "sessions": 3},
+            lambda t: {k: v for k, v in t.items() if k != "fairness"},
+            lambda t: {**t, "extra": 1},
+            lambda t: {**t, "sessions": [{**t["sessions"][0], "forwarders": "abc"}]},
+            lambda t: {**t, "sessions": [{**t["sessions"][0], "extra": 1}]},
+            lambda t: {**t, "sessions": ["text"]},
+        ],
+        ids=["string", "list", "int-sessions", "missing-field", "extra-field",
+             "string-forwarders", "extra-session-field", "string-session"],
+    )
+    def test_malformed_traffic_is_quarantined(self, tmp_path, mangle):
+        import json
+
+        from repro.experiments.runner import _cache_load
+        from repro.obs.service_stats import STATS
+
+        cfg = SimulationConfig(protocol="mtmrp", seed=6, **FAST)
+        res = run_single(cfg, cache=tmp_path)
+        path = tmp_path / f"{config_hash(cfg)}.json"
+        assert res.traffic is not None
+        assert _cache_load(path) == res  # the well-formed entry round-trips
+        payload = json.loads(path.read_text())
+        payload["traffic"] = mangle(payload["traffic"])
+        path.write_text(json.dumps(payload))
+        before = STATS.get("store_corrupt")
+        assert _cache_load(path) is None
+        assert STATS.get("store_corrupt") == before + 1
+        assert (tmp_path / f"{path.name}.corrupt").exists()
+        assert run_single(cfg, cache=tmp_path) == res  # recomputed
+
     def test_concurrent_stores_of_one_key(self, tmp_path):
         """Writers racing on one key each rename their own temp file."""
         import sys
@@ -215,12 +267,12 @@ class TestResultCache:
             group_size=6, mac="ideal", hello_phase=True, hello_warmup=6.0,
             construction_time=0.5, data_time=0.25,
         )
-        assert CACHE_VERSION == 2
+        assert CACHE_VERSION == 3
         assert config_hash(cfg.with_(loss_model="iid", loss_rate=0.1)) == (
-            "0c8a355a39bbe2df544d5a870dc4e976f742903573b172e9a39dbe7eebf70c87"
+            "d59e2fd9401411aecdb58ffa14720fb05cefe1cffb90f3ed25c5f15735ea3c3a"
         )
         assert config_hash(cfg.with_(sessions=ramp_plan(cfg, 3))) == (
-            "2fe401ea892fd1ce2f8d71a65283693c935647eb0ba0a3bed7f3ad533a904557"
+            "63e7edf3549946ace492a7ddff7ffdd6b9b7e4c10056f5cd00104ded9db909c0"
         )
 
     def test_trace_requests_bypass_the_cache(self, tmp_path):
@@ -231,6 +283,44 @@ class TestResultCache:
         tr = TraceRecorder()
         run_single(cfg, cache=tmp_path, trace=tr)
         assert len(tr) > 0  # a cache hit could never fill the recorder
+
+
+class TestCacheResume:
+    """A campaign over the result cache resumes where it stopped."""
+
+    def test_rerun_executes_only_uncached_configs(self, tmp_path, monkeypatch):
+        import json
+
+        import repro.experiments.runner as runner_mod
+
+        monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path))
+        executed = []
+        execute = runner_mod._execute_run
+
+        def counting(cfg, **kwargs):
+            executed.append(cfg.seed)
+            return execute(cfg, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "_execute_run", counting)
+        cfgs = monte_carlo(SimulationConfig(protocol="odmrp", **FAST), 4, batch_seed=1)
+        first = run_many(cfgs[:2])
+        resumed = run_many(cfgs)
+        # only the two new configs ran; the first two came from disk
+        assert executed == [c.seed for c in cfgs]
+        assert resumed[:2] == first
+        # one standalone JSON entry per config, named by its stable hash
+        entries = {p.name: p.read_bytes() for p in tmp_path.glob("*.json")}
+        assert sorted(entries) == sorted(f"{config_hash(c)}.json" for c in cfgs)
+        for c in cfgs:
+            assert config_hash(c) == config_hash(c.with_())
+            stored = json.loads(entries[f"{config_hash(c)}.json"])
+            assert (stored["protocol"], stored["group_size"], stored["seed"]) == (
+                "odmrp", 10, c.seed
+            )
+        # a complete campaign finds nothing to do and rewrites nothing
+        assert run_many(cfgs) == resumed
+        assert executed == [c.seed for c in cfgs]
+        assert {p.name: p.read_bytes() for p in tmp_path.glob("*.json")} == entries
 
 
 class TestAggregate:

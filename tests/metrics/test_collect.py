@@ -6,12 +6,11 @@ import pytest
 from repro.core.mtmrp import MtmrpAgent
 from repro.metrics.collect import (
     average_relay_profit,
-    collect_metrics,
     data_transmitters,
     extra_nodes,
 )
 from repro.sim.trace import TraceKind, TraceRecorder
-from tests.core.helpers import build, line_positions, run_round
+from tests.core.helpers import build, collect_round, line_positions, run_round
 
 
 def test_extra_nodes_definition():
@@ -58,7 +57,7 @@ class TestCollect:
         sim, net, agents = build(line_positions(3), 25.0, receivers=[2],
                                  agent_factory=lambda: MtmrpAgent())
         run_round(sim, agents)
-        m = collect_metrics(net, agents, 0, 1, [2])
+        m, _traffic = collect_round(net, agents, [2])
         assert m.data_transmissions == 2
         assert m.tree_transmissions == 2
         assert m.extra_nodes == 1  # node 1
@@ -79,7 +78,7 @@ class TestCollect:
         sim, net, agents = build(grid_topology(), 40.0, receivers=receivers,
                                  agent_factory=lambda: MtmrpAgent())
         run_round(sim, agents)
-        m = collect_metrics(net, agents, 0, 1, receivers)
+        m, _traffic = collect_round(net, agents, receivers)
         assert m.data_transmissions == m.tree_transmissions
         assert m.delivery_ratio == 1.0
 

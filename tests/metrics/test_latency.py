@@ -4,16 +4,15 @@ import numpy as np
 
 from repro.core.backoff import BackoffParams, BiasedBackoff
 from repro.core.mtmrp import MtmrpAgent
-from repro.metrics.collect import collect_metrics
 from repro.protocols.odmrp import OdmrpAgent
-from tests.core.helpers import build, line_positions, run_round
+from tests.core.helpers import build, collect_round, line_positions, run_round
 
 
 def _latency(agent_factory, positions, receivers, seed=1):
     sim, net, agents = build(positions, 25.0, receivers=receivers,
                              agent_factory=agent_factory, seed=seed)
     run_round(sim, agents)
-    m = collect_metrics(net, agents, 0, 1, receivers)
+    m, _traffic = collect_round(net, agents, receivers)
     return m.construction_latency
 
 

@@ -58,6 +58,16 @@ class TestRoundTrip:
         assert store.put(cfg, res) is False
         assert len(store) == 0
 
+    def test_multi_session_results_are_storeable(self, tmp_path):
+        from repro.traffic.spec import ramp_plan
+
+        store = ResultStore(tmp_path)
+        cfg = cfg_for(3).with_(sessions=ramp_plan(cfg_for(3), 2))
+        res = run_single(cfg)
+        assert len(res.traffic.sessions) == 2
+        assert store.put(cfg, res) is True
+        assert store.get(cfg) == res
+
     def test_clear(self, tmp_path):
         store = ResultStore(tmp_path)
         cfg = cfg_for(1)

@@ -241,7 +241,8 @@ def test_deepcopy_fallback_when_unpicklable(monkeypatch):
 
     monkeypatch.setattr(snapshot_mod._PrefixPickler, "dump", refuse)
     reset_uids()
-    snap = WarmSnapshot.capture(cfg)
+    with pytest.warns(RuntimeWarning, match="did not pickle"):
+        snap = WarmSnapshot.capture(cfg)
     assert snap._blob is None and snap.size_bytes == 0
     warm = run_single(cfg, cache=False, warm_start=snap)
     assert warm == ref
