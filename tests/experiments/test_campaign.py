@@ -1,11 +1,17 @@
-"""Tests for checkpointed campaigns."""
+"""Tests for resuming a campaign over the run-result cache.
+
+A campaign is ``run_many`` with the cache on: every finished run is one
+JSON entry named by its config hash, so a rerun executes only the
+configs without an entry.
+"""
 
 import json
 
 import pytest
 
+import repro.experiments.runner as runner_mod
 from repro.experiments import SimulationConfig, monte_carlo
-from repro.experiments.campaign import config_key, load_campaign, run_campaign
+from repro.experiments.runner import config_hash, run_many
 
 FAST = dict(topology="grid", group_size=10, mac="ideal")
 
@@ -14,65 +20,66 @@ def _configs(n=3):
     return monte_carlo(SimulationConfig(protocol="odmrp", **FAST), n, batch_seed=1)
 
 
-def test_run_and_load_roundtrip(tmp_path):
-    path = tmp_path / "campaign.jsonl"
-    records = run_campaign(_configs(), path)
-    assert len(records) == 3
-    index, loaded = load_campaign(path)
-    assert len(loaded) == 3
-    assert all("_config" in r and "data_transmissions" in r for r in loaded)
-    assert len(index) == 3
+@pytest.fixture
+def cache_dir(tmp_path, monkeypatch):
+    monkeypatch.setenv(runner_mod.CACHE_ENV_VAR, str(tmp_path))
+    return tmp_path
 
 
-def test_resume_skips_done_configs(tmp_path):
-    path = tmp_path / "campaign.jsonl"
-    run_campaign(_configs(2), path)
-    calls = []
-    run_campaign(_configs(4), path, progress=lambda i, n: calls.append((i, n)))
-    # only the 2 new configs were executed
-    assert calls == [(1, 2), (2, 2)]
-    _index, records = load_campaign(path)
-    assert len(records) == 4
+@pytest.fixture
+def executed(monkeypatch):
+    """The seeds of the runs actually executed (not read from the cache)."""
+    seeds = []
+    execute = runner_mod._execute_run
+
+    def counting(cfg, **kwargs):
+        seeds.append(cfg.seed)
+        return execute(cfg, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "_execute_run", counting)
+    return seeds
+
+
+def _entries(cache_dir):
+    return {p.name: p.read_bytes() for p in cache_dir.glob("*.json")}
+
+
+def test_resume_skips_done_configs(cache_dir, executed):
+    cfgs = _configs(4)
+    first = run_many(cfgs[:2])
+    resumed = run_many(cfgs)
+    # only the two new configs ran; the first two came from disk
+    assert executed == [c.seed for c in cfgs]
+    assert resumed[:2] == first
+    assert len(_entries(cache_dir)) == 4
+    # a complete campaign finds nothing to do and rewrites nothing
+    entries = _entries(cache_dir)
+    assert run_many(cfgs) == resumed
+    assert executed == [c.seed for c in cfgs]
+    assert _entries(cache_dir) == entries
 
 
 def test_config_key_stable_and_distinct():
     a, b = _configs(2)
-    assert config_key(a) == config_key(a.with_())
-    assert config_key(a) != config_key(b)
+    assert config_hash(a) == config_hash(a.with_())
+    assert config_hash(a) != config_hash(b)
 
 
-def test_records_rebuild_configs(tmp_path):
-    path = tmp_path / "c.jsonl"
-    run_campaign(_configs(1), path)
-    _idx, records = load_campaign(path)
-    cfg = SimulationConfig(**records[0]["_config"])
-    assert cfg.protocol == "odmrp"
-    assert cfg.group_size == 10
+def test_records_rebuild_configs(cache_dir):
+    (cfg,) = _configs(1)
+    run_many([cfg])
+    (entry,) = cache_dir.glob("*.json")
+    assert entry.name == f"{config_hash(cfg)}.json"
+    stored = json.loads(entry.read_text())
+    # each entry names the protocol, group size and seed of its run
+    assert (stored["protocol"], stored["group_size"], stored["seed"]) == ("odmrp", 10, cfg.seed)
 
 
-def test_missing_file_loads_empty(tmp_path):
-    index, records = load_campaign(tmp_path / "nope.jsonl")
-    assert index == {} and records == []
-
-
-def test_file_is_json_lines(tmp_path):
-    path = tmp_path / "c.jsonl"
-    run_campaign(_configs(2), path)
-    lines = path.read_text().strip().split("\n")
-    assert len(lines) == 2
-    for line in lines:
-        json.loads(line)  # every line is standalone JSON
-
-
-def test_parallel_warm_campaign_matches_serial(tmp_path):
-    cfgs = monte_carlo(SimulationConfig(protocol="mtmrp", topology="grid", group_size=10), 5, 321)
-    serial, parallel = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
-    run_campaign(cfgs, serial, workers=1, warm=False)
-    run_campaign(cfgs, parallel, workers=2, warm=True)
-    idx_s, recs_s = load_campaign(serial)
-    idx_p, recs_p = load_campaign(parallel)
-    assert idx_s == idx_p and len(recs_p) == 5
-    # checkpoints are complete: a rerun finds nothing to do
-    before = parallel.read_text()
-    run_campaign(cfgs, parallel, workers=2, warm=True)
-    assert parallel.read_text() == before
+def test_file_is_json_lines(cache_dir):
+    cfgs = _configs(2)
+    run_many(cfgs)
+    entries = _entries(cache_dir)
+    # one entry per config, named by its stable hash
+    assert sorted(entries) == sorted(f"{config_hash(c)}.json" for c in cfgs)
+    for raw in entries.values():
+        json.loads(raw)  # every entry is standalone JSON

@@ -285,44 +285,6 @@ class TestResultCache:
         assert len(tr) > 0  # a cache hit could never fill the recorder
 
 
-class TestCacheResume:
-    """A campaign over the result cache resumes where it stopped."""
-
-    def test_rerun_executes_only_uncached_configs(self, tmp_path, monkeypatch):
-        import json
-
-        import repro.experiments.runner as runner_mod
-
-        monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path))
-        executed = []
-        execute = runner_mod._execute_run
-
-        def counting(cfg, **kwargs):
-            executed.append(cfg.seed)
-            return execute(cfg, **kwargs)
-
-        monkeypatch.setattr(runner_mod, "_execute_run", counting)
-        cfgs = monte_carlo(SimulationConfig(protocol="odmrp", **FAST), 4, batch_seed=1)
-        first = run_many(cfgs[:2])
-        resumed = run_many(cfgs)
-        # only the two new configs ran; the first two came from disk
-        assert executed == [c.seed for c in cfgs]
-        assert resumed[:2] == first
-        # one standalone JSON entry per config, named by its stable hash
-        entries = {p.name: p.read_bytes() for p in tmp_path.glob("*.json")}
-        assert sorted(entries) == sorted(f"{config_hash(c)}.json" for c in cfgs)
-        for c in cfgs:
-            assert config_hash(c) == config_hash(c.with_())
-            stored = json.loads(entries[f"{config_hash(c)}.json"])
-            assert (stored["protocol"], stored["group_size"], stored["seed"]) == (
-                "odmrp", 10, c.seed
-            )
-        # a complete campaign finds nothing to do and rewrites nothing
-        assert run_many(cfgs) == resumed
-        assert executed == [c.seed for c in cfgs]
-        assert {p.name: p.read_bytes() for p in tmp_path.glob("*.json")} == entries
-
-
 class TestAggregate:
     def test_mean_std_sem(self):
         cfg = SimulationConfig(protocol="odmrp", **FAST)
